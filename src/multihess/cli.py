@@ -99,7 +99,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_quadrature(args) -> int:
     gen = _load_generator(args.input)
     init = initial_conditions(gen)
-    rule = gauss_rule(gen, args.measure, args.nodes, init=init)
+    # one solve for the rule and its check; gauss_rule reports too few nodes
+    dec = (decompose(gen, args.nodes - 1, init=init)
+           if args.nodes >= gen.p else None)
+    rule = gauss_rule(gen, args.measure, args.nodes, init=init, dec=dec)
     doc = {
         "command": "quadrature",
         "version": __version__,
@@ -110,7 +113,8 @@ def _cmd_quadrature(args) -> int:
         "degree": rule.degree,
     }
     if args.check:
-        profile = exactness_profile(gen, args.measure, args.nodes, init=init)
+        profile = exactness_profile(gen, args.measure, args.nodes, init=init,
+                                    dec=dec)
         doc["exactness_errors"] = {str(n): e for n, e in
                                    profile["errors"].items()}
     _write(args, doc)

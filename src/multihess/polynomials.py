@@ -3,6 +3,8 @@ banded Hessenberg truncation.
 
 All evaluators are vectorized over the evaluation points and accept either
 float arrays or object arrays of mpmath numbers (select with use_mp).
+Products put the array first: mpmath formats a whole object array on its
+right for an error message it discards before numpy's multiply runs.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ def eval_type_ii(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     for n in range(N + 1):
         acc = (pts - T[n, n]) * B[n]
         for j in range(1, min(p, n) + 1):
-            acc = acc - T[n, n - j] * B[n - j]
+            acc = acc - B[n - j] * T[n, n - j]
         B[n + 1] = acc
         if derivative:
             dacc = B[n] + (pts - T[n, n]) * dB[n]
             for j in range(1, min(p, n) + 1):
-                dacc = dacc - T[n, n - j] * dB[n - j]
+                dacc = dacc - dB[n - j] * T[n, n - j]
             dB[n + 1] = dacc
     if scalar:
         B = B[:, 0]
@@ -92,13 +94,13 @@ def eval_truncated(gen: GeneratorSequence, N: int, x, derivative: bool = False,
         acc = (pts - T[k, k]) * R[k + 1]
         for j in range(1, p + 1):
             if k + j <= N:
-                acc = acc - T[k + j, k] * R[k + j + 1]
+                acc = acc - R[k + j + 1] * T[k + j, k]
         R[k] = acc
         if derivative:
             dacc = R[k + 1] + (pts - T[k, k]) * dR[k + 1]
             for j in range(1, p + 1):
                 if k + j <= N:
-                    dacc = dacc - T[k + j, k] * dR[k + j + 1]
+                    dacc = dacc - dR[k + j + 1] * T[k + j, k]
             dR[k] = dacc
     R = R[:N + 2]
     if derivative:
@@ -134,7 +136,7 @@ def eval_type_i(gen: GeneratorSequence, count: int, x,
             if n >= 1:
                 acc = acc - A[a, n - 1]
             for j in range(p):
-                acc = acc - T[n + j, n] * A[a, n + j]
+                acc = acc - A[a, n + j] * T[n + j, n]
             A[a, n + p] = acc / T[n + p, n]
     if scalar:
         A = A[:, :, 0]

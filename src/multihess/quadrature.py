@@ -115,19 +115,12 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
     if tol is None:
         tol = 1e-20 if use_mp else 1e-9
     if not use_mp:
-        rule = gauss_rule(gen, a, nodes, init=init)
-        exact_through = -1
-        first_remainder = 0.0
-        for n in range(rule.degree + extra + 1):
-            ref = reference_moment(gen, a, n, init=init)
-            rel = abs(rule.integrate_power(n) - ref) / max(1.0, abs(ref))
-            if rel > tol:
-                first_remainder = rel
-                break
-            exact_through = n
-        return {"a": a, "nodes": nodes, "predicted_degree": rule.degree,
-                "exact_through": exact_through,
-                "remainder_past_degree": first_remainder}
+        prof = exactness_profile(gen, a, nodes, init=init, extra=extra)
+        errors = prof["errors"]
+        fails = [n for n, e in errors.items() if e > tol] + [len(errors)]
+        return {"a": a, "nodes": nodes, "predicted_degree": prof["degree"],
+                "exact_through": fails[0] - 1,
+                "remainder_past_degree": errors.get(fails[0], 0.0)}
     import mpmath
     from .polynomials import _entries
     dec = decompose(gen, nodes - 1, init=init, use_mp=True)
@@ -161,12 +154,14 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
 
 def exactness_profile(gen: GeneratorSequence, a: int, nodes: int,
                       init: InitialConditionData = None,
-                      extra: int = 2) -> dict:
+                      extra: int = 2,
+                      dec: SpectralDecomposition = None) -> dict:
     """Relative quadrature errors for power integrands through degree
-    d_a + extra; used to confirm the stated degree is attained and sharp."""
+    d_a + extra; used to confirm the stated degree is attained and sharp.
+    A decomposition of order nodes - 1 passed as dec is reused."""
     if init is None:
         init = initial_conditions(gen)
-    rule = gauss_rule(gen, a, nodes, init=init)
+    rule = gauss_rule(gen, a, nodes, init=init, dec=dec)
     errors = {}
     for n in range(rule.degree + extra + 1):
         ref = reference_moment(gen, a, n, init=init)

@@ -93,20 +93,6 @@ def spectrum_to_csv(lams: np.ndarray, mu: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def polynomial_table_to_csv(xs, values, derivs) -> str:
-    """Values and derivatives of one polynomial family on a grid."""
-    values = np.asarray(values, dtype=float)
-    derivs = np.asarray(derivs, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    lines = ["n,x,value,derivative"]
-    for n in range(values.shape[0]):
-        for i, x in enumerate(xs):
-            lines.append("%d,%s,%s,%s" % (n, format_float(x),
-                                          format_float(values[n, i]),
-                                          format_float(derivs[n, i])))
-    return "\n".join(lines) + "\n"
-
-
 def factors_to_csv(fac) -> str:
     """Stochastic factors, one triplet block per factor."""
     lines = ["# kind=stochastic_factors p=%d N=%d lam=%s"

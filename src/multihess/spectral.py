@@ -3,13 +3,14 @@
 Eigenvalues are found by a level-by-level bootstrap: the roots of each
 characteristic polynomial strictly interlace those of the previous level,
 giving guaranteed sign-change brackets for bisection, finished with a few
-safeguarded Newton steps.  A dense solver is kept as a fallback and as an
-independent cross-check in the tests.
+safeguarded Newton steps; each evaluation covers the midpoint tree of
+every bracket at once (multisection) on the band diagonals of T.  A dense
+solver is kept as a fallback and as an independent cross-check in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -21,19 +22,66 @@ from .pbf import InitialConditionData, assemble_truncation, initial_conditions
 from .polynomials import eval_second_kind, eval_truncated, eval_type_ii
 
 _BISECT_PASSES = 24
+_TREE_DEPTH = 4        # halvings per evaluation: 15 midpoints per bracket
 _NEWTON_PASSES = 4
 _MP_DPS = 50
 
 
-def _char_poly(gen, m, x, derivative=False, use_mp=False):
-    """B_m (and optionally its derivative) at the points x."""
-    out = eval_type_ii(gen, m - 1, x, derivative=derivative, use_mp=use_mp)
-    if derivative:
-        return out[0][m], out[1][m]
-    return out[m]
+def _band(gen: GeneratorSequence, N: int):
+    """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
+    for j = 0..p, and the bound max row sum + 1 above its spectrum."""
+    T = assemble_truncation(gen, N)
+    band = [np.diagonal(T.dense, -j).tolist() for j in range(gen.p + 1)]
+    return band, T.max_row_sum() + 1.0
 
 
-def _rescue_bracket(gen, m, a, b):
+def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
+    """B_m at the float points x, or with slope=True B_m and B_m' as the
+    rows of a (2, len(x)) array, bit for bit as eval_type_ii computes
+    them: the same operations in the same order, except that the slope
+    row adds B_n to (x - d) B_n', which IEEE addition makes exact."""
+    x = np.asarray(x, dtype=float)
+    p = len(band) - 1
+    xd = x - np.array(band[0][:m])[:, None]     # row n: x - T[n, n]
+    hist = [np.stack((np.ones_like(x), np.zeros_like(x))) if slope
+            else np.ones_like(x)]
+    for n in range(m):
+        acc = xd[n] * hist[n]
+        if slope:
+            acc[1] += hist[n][0]
+        for j in range(1, min(p, n) + 1):
+            acc -= hist[n - j] * band[j][n - j]
+        hist.append(acc)
+    return hist[m]
+
+
+def _multisect(band, m: int, lo, hi, slo):
+    """_BISECT_PASSES sign-rule halvings of the brackets [lo, hi].
+
+    Each evaluation forms every bracket's midpoint tree with the same
+    0.5 * (lo + hi) operations and walks it with the same rule (move
+    right while the sign matches slo), so the brackets end bit for bit
+    where sequential halving leaves them."""
+    width = 1 << _TREE_DEPTH
+    halves = [width >> d for d in range(1, _TREE_DEPTH + 1)]
+    rows = np.arange(lo.size)
+    for _ in range(_BISECT_PASSES // _TREE_DEPTH):
+        grid = np.empty((lo.size, width + 1))
+        grid[:, 0], grid[:, width] = lo, hi
+        for h in halves:
+            grid[:, h:width:2 * h] = 0.5 * (grid[:, 0:width - h:2 * h]
+                                            + grid[:, 2 * h::2 * h])
+        f = _char(band, m, grid[:, 1:width].ravel())
+        right = np.sign(f).reshape(lo.size, width - 1) == slo[:, None]
+        # walk down the tree, keeping the bracket [grid[a], grid[a + 2h]]
+        a = np.zeros(lo.size, dtype=int)
+        for h in halves:
+            a += h * right[rows, a + h - 1]
+        lo, hi = grid[rows, a], grid[rows, a + 1]
+    return lo, hi
+
+
+def _rescue_bracket(band, m, a, b):
     """Recover a sign-change sub-bracket of [a, b] by interior sampling.
 
     A bracket endpoint that happens to lie within roundoff of a root of
@@ -47,8 +95,7 @@ def _rescue_bracket(gen, m, a, b):
     if not (b > a) or (b - a) <= 4.0 * eps:
         return None
     pts = np.linspace(a, b, 14)
-    f = _char_poly(gen, m, pts)
-    sg = np.sign(f)
+    sg = np.sign(_char(band, m, pts))
     for j in range(1, pts.size - 1):
         if sg[j] == 0.0:
             return pts[j], pts[j], sg[j]
@@ -62,7 +109,7 @@ def _rescue_bracket(gen, m, a, b):
             # when the Newton estimate from the endpoint lands clearly
             # inside
             k = 0 if j == 0 else pts.size - 1
-            fv, dfv = _char_poly(gen, m, pts[k], derivative=True)
+            fv, dfv = _char(band, m, pts[k:k + 1], slope=True)[:, 0]
             if dfv == 0.0 or abs(fv / dfv) <= 8.0 * eps:
                 continue
         keep.append(j)
@@ -72,52 +119,52 @@ def _rescue_bracket(gen, m, a, b):
     return pts[j], pts[j + 1], sg[j]
 
 
-def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
-    """Ascending roots of B_{N+1} via interlacing brackets.
+def _next_level(band, m: int, prev: np.ndarray, ub: float) -> np.ndarray:
+    """Ascending roots of B_m, one per bracket of (0, ub) cut at the
+    ascending roots prev of B_{m-1}, which they strictly interlace.
 
-    Each level's roots strictly interlace the previous level's, giving one
-    bracket per root.  When a new root coincides with a bracket endpoint
-    to machine precision the sign test degenerates; such brackets skip
-    bisection and start Newton from the endpoint with the smaller residual
-    instead.  Raises BracketError when the bracket structure degrades
-    beyond that (sub-roundoff clusters).
+    A bracket whose endpoint sign test degenerates (a new root within
+    roundoff of an old one) is rescued by interior sampling or else starts
+    Newton from its endpoint with the smaller residual; more than
+    m // 4 + 1 such brackets raise BracketError."""
+    endpoints = np.concatenate(([0.0], prev, [ub]))
+    fend = _char(band, m, endpoints)
+    s = np.sign(fend)
+    valid = s[:-1] * s[1:] < 0.0
+    if np.count_nonzero(~valid) > m // 4 + 1:
+        i = int(np.argmin(valid))
+        raise BracketError("interlacing bracket structure lost",
+                           level=m - 1,
+                           interval=(endpoints[i], endpoints[i + 1]))
+    alo, ahi = endpoints[:-1], endpoints[1:]
+    collapsed = np.where(np.abs(fend[:-1]) <= np.abs(fend[1:]), alo, ahi)
+    lo = np.where(valid, alo, collapsed)
+    hi = np.where(valid, ahi, collapsed)
+    slo = s[:-1]
+    for i in np.flatnonzero(~valid):
+        sub = _rescue_bracket(band, m, alo[i], ahi[i])
+        if sub is not None:
+            lo[i], hi[i], slo[i] = sub
+    lo, hi = _multisect(band, m, lo, hi, slo)
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_PASSES):
+        f, df = _char(band, m, x, slope=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(df != 0.0, f / df, 0.0)
+        x = np.clip(x - step, alo, ahi)
+    return np.sort(x)
+
+
+def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
+    """Ascending roots of B_{N+1}, one _next_level per level.
+
+    Raises BracketError when a level loses its bracket structure or the
+    final roots collapse to the same float (sub-roundoff clusters).
     """
-    T = assemble_truncation(gen, N)
-    ub = T.max_row_sum() + 1.0
-    roots = np.array([T.dense[0, 0]])
+    band, ub = _band(gen, N)
+    roots = np.array([band[0][0]])
     for m in range(2, N + 2):
-        endpoints = np.concatenate(([0.0], roots, [ub]))
-        fend = _char_poly(gen, m, endpoints)
-        s = np.sign(fend)
-        valid = s[:-1] * s[1:] < 0.0
-        if np.count_nonzero(~valid) > m // 4 + 1:
-            i = int(np.argmin(valid))
-            raise BracketError("interlacing bracket structure lost",
-                               level=m - 1,
-                               interval=(endpoints[i], endpoints[i + 1]))
-        alo, ahi = endpoints[:-1], endpoints[1:]
-        collapsed = np.where(np.abs(fend[:-1]) <= np.abs(fend[1:]),
-                             alo, ahi)
-        lo = np.where(valid, alo, collapsed)
-        hi = np.where(valid, ahi, collapsed)
-        slo = np.sign(fend[:-1])
-        for i in np.flatnonzero(~valid):
-            sub = _rescue_bracket(gen, m, alo[i], ahi[i])
-            if sub is not None:
-                lo[i], hi[i], slo[i] = sub
-        for _ in range(_BISECT_PASSES):
-            mid = 0.5 * (lo + hi)
-            fm = _char_poly(gen, m, mid)
-            left = np.sign(fm) == slo
-            lo = np.where(left, mid, lo)
-            hi = np.where(left, hi, mid)
-        x = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_PASSES):
-            f, df = _char_poly(gen, m, x, derivative=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(df != 0.0, f / df, 0.0)
-            x = np.clip(x - step, alo, ahi)
-        roots = np.sort(x)
+        roots = _next_level(band, m, roots, ub)
         if m <= N:
             # Two intermediate roots may coincide to machine precision
             # even though later levels separate again; keep the walk
@@ -135,17 +182,22 @@ def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
 
 
 def _dense_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
-    """Fallback: dense eigenvalues, Newton-polished on the recurrence."""
+    """Fallback: dense eigenvalues, Newton-polished on the recurrence;
+    raises IllConditionedSpectrumError unless positive and simple."""
     ev = np.linalg.eigvals(assemble_truncation(gen, N).dense)
     if np.abs(ev.imag).max() > 1e-8 * max(1.0, np.abs(ev.real).max()):
         raise IllConditionedSpectrumError(
             "dense solver returned a significantly complex eigenvalue")
+    band, _ = _band(gen, N)
     x = np.sort(ev.real)
     for _ in range(_NEWTON_PASSES):
-        f, df = _char_poly(gen, N + 1, x, derivative=True)
+        f, df = _char(band, N + 1, x, slope=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x - np.where(df != 0.0, f / df, 0.0)
-    return np.sort(x)
+    x = np.sort(x)
+    if x[0] <= 0.0 or np.any(np.diff(x) <= 0.0):
+        raise IllConditionedSpectrumError("dense spectrum is degenerate")
+    return x
 
 
 def _mp_char_coeffs(gen: GeneratorSequence, N: int):
@@ -169,8 +221,9 @@ def _mp_char_coeffs(gen: GeneratorSequence, N: int):
 
 def _mp_roots(gen: GeneratorSequence, N: int):
     """All roots of B_{N+1} by a high-precision dense polynomial solver,
-    ascending, as mpmath numbers.  Slow; used when double precision cannot
-    separate the spectrum."""
+    ascending, as mpmath numbers; raises IllConditionedSpectrumError when
+    they are not positive and simple.  Slow; used when double precision
+    cannot separate the spectrum."""
     import mpmath
     with mpmath.workdps(3 * _MP_DPS):
         coeffs = _mp_char_coeffs(gen, N)
@@ -181,6 +234,9 @@ def _mp_roots(gen: GeneratorSequence, N: int):
                 raise IllConditionedSpectrumError(
                     "high-precision solver returned a complex eigenvalue")
         asc = sorted(mpmath.re(r) for r in roots)
+    if asc[0] <= 0 or any(b <= a for a, b in zip(asc, asc[1:])):
+        raise IllConditionedSpectrumError(
+            "computed spectrum is not positive and simple")
     return np.array(asc, dtype=object)
 
 
@@ -194,8 +250,8 @@ def _mp_polish(gen: GeneratorSequence, N: int, roots, dps: int = _MP_DPS):
     with mpmath.workdps(dps):
         x = np.array([mpmath.mpf(v) for v in roots], dtype=object)
         for _ in range(6):
-            f, df = _char_poly(gen, N + 1, x, derivative=True, use_mp=True)
-            x = x - f / df
+            B, dB = eval_type_ii(gen, N, x, derivative=True, use_mp=True)
+            x = x - B[N + 1] / dB[N + 1]
     return x
 
 
@@ -208,7 +264,6 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
     """
     if N < 0:
         raise InvalidInputError("truncation order must be >= 0")
-    roots = None
     try:
         roots = _bootstrap_roots(gen, N)
     except BracketError:
@@ -216,14 +271,8 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
             roots = _dense_roots(gen, N)
         except IllConditionedSpectrumError:
             roots = None
-        if roots is not None and (roots[0] <= 0.0
-                                  or np.any(np.diff(roots) <= 0.0)):
-            roots = None
     if roots is None:
         asc = _mp_roots(gen, N)
-        if asc[0] <= 0 or any(b <= a for a, b in zip(asc, asc[1:])):
-            raise IllConditionedSpectrumError(
-                "computed spectrum is not positive and simple")
         if not use_mp:
             roots = np.array([float(v) for v in asc])
             if roots[0] <= 0.0 or np.any(np.diff(roots) <= 0.0):
@@ -242,9 +291,6 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
         gaps = np.diff(roots) / max(roots.max(), 1e-300)
         if gaps.min() < 1e-12:
             asc = _mp_roots(gen, N)
-            if asc[0] <= 0 or any(b <= a for a, b in zip(asc, asc[1:])):
-                raise IllConditionedSpectrumError(
-                    "computed spectrum is not positive and simple")
         else:
             asc = _mp_polish(gen, N, roots)
     else:
@@ -255,16 +301,18 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
 def eigenvalue_pair(gen: GeneratorSequence, N: int):
     """Spectra of the truncations of orders N-1 and N, both descending.
 
-    Cheaper than two separate calls because the bootstrap already walks
-    through every level; used to check interlacing across N.
+    Cheaper than two separate calls: the order-N spectrum is one more
+    _next_level on top of the order N-1 bootstrap; when either level
+    degenerates both come from eigenvalues().  Used to check interlacing.
     """
     if N < 1:
         raise InvalidInputError("order must be >= 1 for an eigenvalue pair")
     try:
         prev = _bootstrap_roots(gen, N - 1)
-        last = _finish_level(gen, N, prev)
+        band, ub = _band(gen, N)
+        last = _next_level(band, N + 1, prev, ub)
+        # _bootstrap_roots already rejects a non-increasing prev
         if (prev[0] <= 0.0 or last[0] <= 0.0
-                or np.any(np.diff(prev) <= 0.0)
                 or np.any(np.diff(last) <= 0.0)):
             raise BracketError("bootstrap produced a degenerate level")
         return prev[::-1].copy(), last[::-1].copy()
@@ -290,13 +338,6 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
     ties = 0
     strict = ordered
 
-    def _refine(m, x0):
-        r = mpmath.mpf(float(x0))
-        for _ in range(6):
-            v, dv = _char_poly(gen, m + 1, r, derivative=True, use_mp=True)
-            r = r - v / dv
-        return r
-
     if ordered:
         with mpmath.workdps(40):
             for lo, hi, mlo, mhi in (
@@ -309,41 +350,12 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
                         strict = False
                         break
                     ties += 1
-                    if not _refine(mlo, a) < _refine(mhi, b):
+                    if not (_mp_polish(gen, mlo, [a], 40)[0]
+                            < _mp_polish(gen, mhi, [b], 40)[0]):
                         strict = False
                         break
     return {"N": N, "strict": strict, "sub_ulp_ties": ties,
             "min_gap": float(np.abs(np.diff(cur)).min()) if N >= 1 else 0.0}
-
-
-def _finish_level(gen: GeneratorSequence, N: int, prev: np.ndarray) -> np.ndarray:
-    """One more bootstrap level on top of the ascending roots of B_N."""
-    ub = assemble_truncation(gen, N).max_row_sum() + 1.0
-    endpoints = np.concatenate(([0.0], prev, [ub]))
-    fend = _char_poly(gen, N + 1, endpoints)
-    alo, ahi = endpoints[:-1], endpoints[1:]
-    valid = np.sign(fend[:-1]) * np.sign(fend[1:]) < 0.0
-    collapsed = np.where(np.abs(fend[:-1]) <= np.abs(fend[1:]), alo, ahi)
-    lo = np.where(valid, alo, collapsed)
-    hi = np.where(valid, ahi, collapsed)
-    slo = np.sign(fend[:-1])
-    for i in np.flatnonzero(~valid):
-        sub = _rescue_bracket(gen, N + 1, alo[i], ahi[i])
-        if sub is not None:
-            lo[i], hi[i], slo[i] = sub
-    for _ in range(_BISECT_PASSES):
-        mid = 0.5 * (lo + hi)
-        fm = _char_poly(gen, N + 1, mid)
-        left = np.sign(fm) == slo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_PASSES):
-        f, df = _char_poly(gen, N + 1, x, derivative=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(df != 0.0, f / df, 0.0)
-        x = np.clip(x - step, alo, ahi)
-    return np.sort(x)
 
 
 @dataclass

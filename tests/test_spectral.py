@@ -8,6 +8,9 @@ from multihess import (GeneratorSequence, InvalidInputError, PoleError,
                        eigenvalues, moments_matvec,
                        weyl_partial_fractions, weyl_rational,
                        weyl_resolvent)
+from multihess.polynomials import eval_type_ii
+from multihess.spectral import (_BISECT_PASSES, _band, _bootstrap_roots,
+                                _char, _mp_roots, _multisect)
 
 
 def test_golden_tridiagonal_spectrum():
@@ -127,3 +130,55 @@ def test_spectral_mapping_matrix_power():
     P3 = np.linalg.matrix_power(T, 3)
     assert np.allclose(dec.matrix_power(3), P3,
                        rtol=0, atol=1e-9 * np.abs(P3).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_band_kernel_matches_eval_type_ii_bitwise(p):
+    # The kernel reads the band of the order-N truncation once and must
+    # reproduce the lower-order evaluator bit for bit at every level.
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=40 + p)
+    N = 25
+    band, ub = _band(g, N)
+    x = np.concatenate((np.linspace(0.0, ub, 41), eigenvalues(g, N)))
+    for m in (1, 2, p + 1, 13, N + 1):
+        B, dB = eval_type_ii(g, m - 1, x, derivative=True)
+        assert _char(band, m, x).tobytes() == B[m].tobytes()
+        got = _char(band, m, x, slope=True)
+        assert got.shape == (2, x.size)
+        assert got.tobytes() == np.stack((B[m], dB[m])).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_multisection_equals_sequential_halving(p):
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=50 + p)
+    N = 20
+    m = N + 1
+    band, ub = _band(g, N)
+    prev = _bootstrap_roots(g, N - 1)
+    rng = np.random.default_rng(p)
+    # the interlacing brackets of the last level, a collapsed bracket and
+    # random brackets with random sign labels, which need not hold a root
+    ends = rng.uniform(0.0, ub, size=(2, 12))
+    lo = np.concatenate(([0.0], prev, [prev[3]], ends.min(axis=0)))
+    hi = np.concatenate((prev, [ub], [prev[3]], ends.max(axis=0)))
+    slo = np.sign(eval_type_ii(g, N, lo)[m])
+    slo[-12:] = rng.choice([-1.0, 1.0], size=12)
+    want_lo, want_hi = lo.copy(), hi.copy()
+    for _ in range(_BISECT_PASSES):
+        mid = 0.5 * (want_lo + want_hi)
+        right = np.sign(eval_type_ii(g, N, mid)[m]) == slo
+        want_lo = np.where(right, mid, want_lo)
+        want_hi = np.where(right, want_hi, mid)
+    got_lo, got_hi = _multisect(band, m, lo, hi, slo)
+    assert got_lo.tobytes() == want_lo.tobytes()
+    assert got_hi.tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("p,N", [(1, 20), (2, 30), (3, 35)])
+def test_eigenvalues_match_high_precision_roots(p, N):
+    # Measured against the spectral radius: the smallest eigenvalues of
+    # p >= 2 carry relative errors up to about 1e-10 on this route.
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=60 + p)
+    ref = np.array([float(v) for v in _mp_roots(g, N)])[::-1]
+    lams = eigenvalues(g, N)
+    assert np.abs(lams - ref).max() <= 1e-12 * ref[0]
