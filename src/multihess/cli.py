@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, MultihessError
 from .generator import generator_from_json
-from .markov import (finite_chain, km_power, recurrence_diagnostic,
+from .markov import (_polished_top, finite_chain, recurrence_diagnostic,
                      stationary_distribution, to_stochastic_factors)
 from .montecarlo import simulate_chain
 from .pbf import initial_conditions
-from .quadrature import exactness_profile, gauss_rule, reference_moment
+from .quadrature import exactness_profile, gauss_rule
 from .serialize import (factors_to_csv, matrix_to_csv, spectrum_to_csv,
                         to_json)
 from .spectral import decompose, moments_matvec
@@ -123,8 +123,11 @@ def _cmd_quadrature(args) -> int:
 
 def _cmd_chain(args) -> int:
     gen = _load_generator(args.input)
-    chain = finite_chain(gen, args.order, kind=args.kind)
-    dec = decompose(gen, args.order)
+    # one spectral solve and one polish of its top eigenvalue serve the
+    # chain, its stationary vector, the diagnostic and the factors
+    dec = decompose(gen, args.order, use_mp=_precision())
+    lam = _polished_top(gen, args.order, start=float(dec.lams[0]))
+    chain = finite_chain(gen, args.order, kind=args.kind, lam=lam)
     pi = stationary_distribution(dec)
     diag = recurrence_diagnostic(dec, l=args.state)
     doc = {
@@ -147,7 +150,8 @@ def _cmd_chain(args) -> int:
     csv_text = None
     if args.csv:
         if args.factors:
-            csv_text = factors_to_csv(to_stochastic_factors(gen, args.order))
+            csv_text = factors_to_csv(
+                to_stochastic_factors(gen, args.order, lam=lam))
         else:
             csv_text = matrix_to_csv(chain.P)
     _write(args, doc, csv_text)

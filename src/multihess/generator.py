@@ -9,7 +9,7 @@ Indexing of alpha is 1-based throughout, matching the factor layout
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,18 +74,6 @@ class GeneratorSequence:
                                  high=float(high), seed=int(seed))
 
     # -- evaluation ---------------------------------------------------
-
-    @property
-    def finite_length(self):
-        """Number of available alphas for a list rule, None otherwise."""
-        return len(self.values) if self.kind == "list" else None
-
-    @property
-    def upper_bound(self) -> float:
-        """sup_i alpha_i; finite by construction for every rule."""
-        if self.kind == "uniform":
-            return self.high
-        return max(self.values)
 
     def alphas(self, count: int) -> np.ndarray:
         """Return alpha_1 .. alpha_count as a float64 array."""

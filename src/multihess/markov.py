@@ -19,7 +19,7 @@ from .errors import InvalidInputError, NormalizationError
 from .generator import GeneratorSequence
 from .pbf import assemble_truncation, _bidiagonal_factors
 from .polynomials import eval_truncated, eval_type_ii
-from .spectral import SpectralDecomposition, decompose, eigenvalues
+from .spectral import SpectralDecomposition, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,9 @@ class FiniteChain:
         self.weights.setflags(write=False)
 
 
-def _polished_top(gen: GeneratorSequence, N: int, dps: int = 60):
-    """Largest truncation eigenvalue, Newton-polished in mpmath.
+def _polished_top(gen: GeneratorSequence, N: int, start: float = None):
+    """Largest truncation eigenvalue, Newton-polished in mpmath from the
+    float start (by default the top of a fresh eigenvalues() solve).
 
     The row-sum identity of the chains evaluates the polynomial tables at
     this point; a double-precision eigenvalue leaves O(1e-7) stochasticity
@@ -51,22 +52,28 @@ def _polished_top(gen: GeneratorSequence, N: int, dps: int = 60):
     produced at extended precision.
     """
     import mpmath
-    from .polynomials import eval_type_ii as _e2
-    lam = float(eigenvalues(gen, N)[0])
-    with mpmath.workdps(dps):
-        x = mpmath.mpf(lam)
+    if start is None:
+        start = float(eigenvalues(gen, N)[0])
+    with mpmath.workdps(60):
+        x = mpmath.mpf(start)
         for _ in range(5):
-            vals, dvals = _e2(gen, N, x, derivative=True, use_mp=True)
+            vals, dvals = eval_type_ii(gen, N, x, derivative=True,
+                                       use_mp=True)
             x = x - vals[N + 1] / dvals[N + 1]
     return x
 
 
-def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii") -> FiniteChain:
-    """Stochastic matrix of the requested kind on states 0..N."""
+def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii",
+                 lam=None) -> FiniteChain:
+    """Stochastic matrix of the requested kind on states 0..N.
+
+    lam is the 60-digit Perron root from _polished_top, used as is; by
+    default it is computed here (a spectral solve and a polish).
+    """
     import mpmath
     T = assemble_truncation(gen, N).dense
-    lam_mp = _polished_top(gen, N)
     with mpmath.workdps(60):
+        lam_mp = _polished_top(gen, N) if lam is None else mpmath.mpf(lam)
         if kind == "type_ii":
             vm = eval_type_ii(gen, N, lam_mp, use_mp=True)[:N + 1]
         elif kind == "type_i":
@@ -148,21 +155,24 @@ def first_return_gf(dec: SpectralDecomposition, l: int, s: float) -> float:
 
 def recurrence_diagnostic(dec: SpectralDecomposition, l: int = 0,
                           max_exponent: int = 8) -> dict:
-    """Sample F_ll at s = 1 - 10^-m for m = 1..max_exponent.
+    """Sample F_ll at s = 1 - 10^-m for m = 1..max_exponent; classify l.
 
-    The state is recurrent exactly when F_ll(s) -> 1 as s -> 1.  For a
-    recurrent state the defect 1 - F_ll(1 - eps) vanishes linearly in
-    eps, so the defect ratio between the last two samples is near 1/10;
-    for a transient state it tends to 1.  The classification uses that
-    rate, which is insensitive to how small the stationary mass at l is.
+    The state is recurrent exactly when F_ll(s) -> 1 as s -> 1, that is
+    when the return generating function diverges there.  Only its top
+    term pi_l / (1 - s), pi_l = U[l, 0] W[0, l], has a pole at s = 1, so l
+    is recurrent exactly when that residue, the stationary mass at l, is
+    positive.  The samples cannot decide it: 1 - F_ll(1 - eps) =
+    1 / (pi_l / eps + terms bounded in s) starts to fall only once eps
+    drops below pi_l, which at the edges of long chains lies far below
+    the last sample's 1e-8.
     """
     ms = list(range(1, max_exponent + 1))
     values = [first_return_gf(dec, l, 1.0 - 10.0 ** (-m)) for m in ms]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
-    defect_ratio = (1.0 - values[-1]) / (1.0 - values[-2])
-    recurrent = monotone and defect_ratio < 0.5
+    with dec.workprec():
+        residue = float(dec.U[l, 0] * dec.W[0, l])
     return {"s_exponents": ms, "values": values, "monotone": monotone,
-            "defect_ratio": defect_ratio, "recurrent": recurrent}
+            "residue": residue, "recurrent": monotone and residue > 0.0}
 
 
 def stationary_distribution(dec: SpectralDecomposition) -> np.ndarray:
@@ -172,7 +182,8 @@ def stationary_distribution(dec: SpectralDecomposition) -> np.ndarray:
     entries; the confluent kernel identity makes the components sum to 1
     without renormalization.
     """
-    return np.asarray(dec.U[:, 0] * dec.W[0, :], dtype=float)
+    with dec.workprec():
+        return np.asarray(dec.U[:, 0] * dec.W[0, :], dtype=float)
 
 
 def stationary_power_iteration(P: np.ndarray, iters: int = 20000,
@@ -229,7 +240,9 @@ def to_stochastic_factors(gen: GeneratorSequence, N: int,
     factors of T / lam, each chosen to make the factor to its left row
     stochastic, starting from the upper factor.  With lam = None the
     truncation's largest eigenvalue is used (the finite chain); lam = 1
-    gives the semi-infinite normalization.
+    gives the semi-infinite normalization.  mpf(lam) is taken at 60
+    digits, so the mpf that _polished_top returns passes through exactly
+    and a caller holding it saves a spectral solve and a polish.
     """
     import mpmath
     p = gen.p

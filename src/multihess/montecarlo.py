@@ -4,6 +4,14 @@ Trials are driven by a counter-based scheme: every trial owns an
 independent xorshift64* stream whose state is derived from (seed, trial
 index), so the result is a pure function of the inputs — independent of
 chunk size, execution order, or platform — and reruns are byte-identical.
+
+A step counts the row-CDF entries <= u over a window of the row, exactly:
+entries before the row's first nonzero (lo) are 0.0, always counted;
+entries from its last nonzero (hi) to column n-2 repeat one value, as
+adding 0.0 changes nothing; column n-1 is 1.0, never counted as u < 1.  So
+the count is lo plus the comparisons over w = max(hi - lo) + 1 columns
+from lo, the last weighted by the columns it stands for.  lo and hi come
+from P, so any stochastic matrix works; the banded chains have w = p + 2.
 """
 
 from __future__ import annotations
@@ -13,19 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .rng import splitmix64
-
-_MULT = np.uint64(0x2545F4914F6CDD1D)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_INV53 = 1.0 / float(1 << 53)
-
-
-def _xorshift_step(state: np.ndarray) -> np.ndarray:
-    """Advance an array of xorshift64* states in place; return uniforms."""
-    state ^= state >> np.uint64(12)
-    state ^= state << np.uint64(25)
-    state ^= state >> np.uint64(27)
-    return ((state * _MULT) >> np.uint64(11)).astype(np.float64) * _INV53
+from .rng import XorShift64Star
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,31 @@ class SimulationReport:
         return float(np.abs(self.z_scores[self.reference > 0.0]).max())
 
 
+def _cdf_window(P: np.ndarray):
+    """(lo, cols, tail) of the windowed step: cols[k, i] is CDF column
+    lo[i] + k of row i (1.0 past column n - 1) and tail[i] the number of
+    columns the last window column stands for."""
+    n = P.shape[0]
+    cdf = np.cumsum(P, axis=1)
+    cdf[:, -1] = 1.0
+    nz = P != 0.0
+    lo = nz.argmax(axis=1)
+    w = int((n - 1 - nz[:, ::-1].argmax(axis=1) - lo).max()) + 1
+    cols = np.take_along_axis(np.hstack((cdf, np.ones((n, w)))),
+                              lo[:, None] + np.arange(w), axis=1).T.copy()
+    return lo, cols, np.maximum(n - lo - w, 0)
+
+
+def _step(window, where: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states: per trial, the count of row-CDF entries <= u."""
+    lo, cols, tail = window
+    nxt = lo[where]
+    for k in range(len(cols) - 1):
+        nxt += cols[k][where] <= u
+    nxt += tail[where] * (cols[-1][where] <= u)
+    return nxt
+
+
 def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
                    seed: int, chunk: int = 1 << 16) -> SimulationReport:
     """Simulate `trials` independent paths of the chain P from `start`.
@@ -76,17 +97,14 @@ def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
         raise InvalidInputError("steps must be >= 0 and trials positive")
     if np.abs(P.sum(axis=1) - 1.0).max() > 1e-12 or P.min() < 0.0:
         raise InvalidInputError("matrix is not stochastic to tolerance")
-    cdf = np.cumsum(P, axis=1)
-    cdf[:, -1] = 1.0
+    window = _cdf_window(P)
     counts = np.zeros(n, dtype=np.int64)
     for base in range(0, trials, chunk):
         m = min(chunk, trials - base)
-        state = splitmix64(seed, m, offset=base)
-        state[state == 0] = _GAMMA
+        rng = XorShift64Star(seed, m, stream_offset=base)
         where = np.full(m, start, dtype=np.intp)
         for _ in range(steps):
-            u = _xorshift_step(state)
-            where = (cdf[where] <= u[:, None]).sum(axis=1)
+            where = _step(window, where, rng.next_float())
         counts += np.bincount(where, minlength=n)
     reference = np.linalg.matrix_power(P, steps)[start]
     freq = counts / trials

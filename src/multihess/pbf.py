@@ -31,20 +31,6 @@ class BandedHessenberg:
     def __post_init__(self):
         self.dense.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.N + 1
-
-    def __getitem__(self, ij):
-        return self.dense[ij]
-
-    def to_dense(self) -> np.ndarray:
-        return self.dense.copy()
-
-    def diagonal_band(self, offset: int) -> np.ndarray:
-        """Diagonal at the given offset (+1 super, -j sub)."""
-        return np.diagonal(self.dense, offset).copy()
-
     def max_row_sum(self) -> float:
         return float(np.abs(self.dense).sum(axis=1).max())
 

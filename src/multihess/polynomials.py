@@ -16,12 +16,16 @@ from .generator import GeneratorSequence
 from .pbf import InitialConditionData, assemble_truncation
 
 
-def _entries(gen: GeneratorSequence, order: int, use_mp: bool) -> np.ndarray:
+def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False):
+    """The entries of T^[order] the recurrences read: band[j][i] =
+    T[i+j, i] for j = 0..p, as Python floats or mpf (the superdiagonal
+    is 1 and every other entry 0)."""
     T = assemble_truncation(gen, order).dense
+    band = [np.diagonal(T, -j).tolist() for j in range(gen.p + 1)]
     if use_mp:
         import mpmath
-        T = np.array([[mpmath.mpf(v) for v in row] for row in T], dtype=object)
-    return T
+        band = [[mpmath.mpf(v) for v in d] for d in band]
+    return band
 
 
 def _as_points(x, use_mp: bool):
@@ -52,21 +56,21 @@ def eval_type_ii(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     the elementwise derivative as a second array).
     """
     pts, scalar = _as_points(x, use_mp)
-    T = _entries(gen, N, use_mp)
+    d = _diagonals(gen, N, use_mp)
     p = gen.p
     B = _zeros(N + 2, pts.size, use_mp)
     B[0] = B[0] * 0 + 1 if use_mp else 1.0
     if derivative:
         dB = _zeros(N + 2, pts.size, use_mp)
     for n in range(N + 1):
-        acc = (pts - T[n, n]) * B[n]
+        acc = (pts - d[0][n]) * B[n]
         for j in range(1, min(p, n) + 1):
-            acc = acc - B[n - j] * T[n, n - j]
+            acc = acc - B[n - j] * d[j][n - j]
         B[n + 1] = acc
         if derivative:
-            dacc = B[n] + (pts - T[n, n]) * dB[n]
+            dacc = B[n] + (pts - d[0][n]) * dB[n]
             for j in range(1, min(p, n) + 1):
-                dacc = dacc - dB[n - j] * T[n, n - j]
+                dacc = dacc - dB[n - j] * d[j][n - j]
             dB[n + 1] = dacc
     if scalar:
         B = B[:, 0]
@@ -84,23 +88,23 @@ def eval_truncated(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     backward column-expansion recurrence.
     """
     pts, scalar = _as_points(x, use_mp)
-    T = _entries(gen, N, use_mp)
+    d = _diagonals(gen, N, use_mp)
     p = gen.p
     R = _zeros(N + p + 1, pts.size, use_mp)
     R[N + 1] = R[N + 1] * 0 + 1 if use_mp else 1.0
     if derivative:
         dR = _zeros(N + p + 1, pts.size, use_mp)
     for k in range(N, -1, -1):
-        acc = (pts - T[k, k]) * R[k + 1]
+        acc = (pts - d[0][k]) * R[k + 1]
         for j in range(1, p + 1):
             if k + j <= N:
-                acc = acc - R[k + j + 1] * T[k + j, k]
+                acc = acc - R[k + j + 1] * d[j][k]
         R[k] = acc
         if derivative:
-            dacc = R[k + 1] + (pts - T[k, k]) * dR[k + 1]
+            dacc = R[k + 1] + (pts - d[0][k]) * dR[k + 1]
             for j in range(1, p + 1):
                 if k + j <= N:
-                    dacc = dacc - dR[k + j + 1] * T[k + j, k]
+                    dacc = dacc - dR[k + j + 1] * d[j][k]
             dR[k] = dacc
     R = R[:N + 2]
     if derivative:
@@ -124,7 +128,7 @@ def eval_type_i(gen: GeneratorSequence, count: int, x,
     if count < p:
         raise InvalidInputError(f"count must be at least p = {p}")
     pts, scalar = _as_points(x, use_mp)
-    T = _entries(gen, count - 1, use_mp)
+    d = _diagonals(gen, count - 1, use_mp)
     A = _zeros(p * count, pts.size, use_mp).reshape(p, count, pts.size)
     nu = init.nu
     for n in range(p):
@@ -136,8 +140,8 @@ def eval_type_i(gen: GeneratorSequence, count: int, x,
             if n >= 1:
                 acc = acc - A[a, n - 1]
             for j in range(p):
-                acc = acc - A[a, n + j] * T[n + j, n]
-            A[a, n + p] = acc / T[n + p, n]
+                acc = acc - A[a, n + j] * d[j][n]
+            A[a, n + p] = acc / d[p][n]
     if scalar:
         A = A[:, :, 0]
     return A
@@ -150,7 +154,7 @@ def h_values(gen: GeneratorSequence, count: int, use_mp: bool = False) -> np.nda
     p = gen.p
     if count < 1:
         raise InvalidInputError("count must be positive")
-    T = _entries(gen, count - 1 + p, use_mp)
+    low = _diagonals(gen, count - 1 + p, use_mp)[p]
     sign = (-1) ** (p - 1)
     if use_mp:
         import mpmath
@@ -160,7 +164,7 @@ def h_values(gen: GeneratorSequence, count: int, use_mp: bool = False) -> np.nda
         h = np.empty(count)
         h[0] = 1.0
     for n in range(count - 1):
-        h[n + 1] = sign * h[n] * T[n + p, n]
+        h[n + 1] = sign * h[n] * low[n]
     return h
 
 
@@ -250,17 +254,10 @@ def cd_second(gen: GeneratorSequence, N: int, x, y,
     sides in mpmath (still the same two independent routes) and returns
     floats of the exact comparison.
     """
-    ctx = None
-    if use_mp:
-        import mpmath
-        ctx = mpmath.workdps(60)
-        ctx.__enter__()
-    try:
-        if use_mp:
-            import mpmath
-            xx = mpmath.mpf(x)
-        else:
-            xx = x
+    import mpmath
+    from contextlib import nullcontext
+    with mpmath.workdps(60) if use_mp else nullcontext():
+        xx = mpmath.mpf(x) if use_mp else x
         B = eval_type_ii(gen, N, y, use_mp=use_mp)
         h = h_values(gen, N + 1, use_mp=use_mp)
         A = eval_type_i(gen, N + gen.p, xx, init, use_mp=use_mp)
@@ -275,9 +272,6 @@ def cd_second(gen: GeneratorSequence, N: int, x, y,
             Bx = eval_type_ii(gen, N, xx, use_mp=use_mp)
             rhs = (Bx[N + 1] * B[N] - Bx[N] * B[N + 1]) / (h[N] * (xx - y))
         return float(lhs), float(rhs)
-    finally:
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
 
 
 def determinantal_identity(gen: GeneratorSequence, n: int, x,

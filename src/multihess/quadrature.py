@@ -122,7 +122,7 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
                 "exact_through": fails[0] - 1,
                 "remainder_past_degree": errors.get(fails[0], 0.0)}
     import mpmath
-    from .polynomials import _entries
+    from .polynomials import _diagonals
     dec = decompose(gen, nodes - 1, init=init, use_mp=True)
     degree = precision_degree(nodes, gen.p, a)
     exact_through = -1
@@ -130,16 +130,14 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
     with dec.workprec():
         w = dec.mu[:, a - 1]
         lams = dec.lams
-        T_cache = {}
+        bands = {}
         for n in range(degree + extra + 1):
             M = minimal_truncation(gen.p, a, n)
-            if M not in T_cache:
-                T_cache[M] = _entries(gen, M, True)
-            v = np.array([mpmath.mpf(x)
-                          for x in init.embedded_vector(a, M + 1)],
-                         dtype=object)
+            if M not in bands:
+                bands[M] = _diagonals(gen, M, True)
+            v = [mpmath.mpf(x) for x in init.embedded_vector(a, M + 1)]
             for _ in range(n):
-                v = T_cache[M] @ v
+                v = _band_matvec(bands[M], v)
             ref = v[0]
             got = np.sum(w * lams ** n)
             rel = abs(got - ref) / max(mpmath.mpf(1), abs(ref))
@@ -150,6 +148,15 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
     return {"a": a, "nodes": nodes, "predicted_degree": degree,
             "exact_through": exact_through,
             "remainder_past_degree": first_remainder}
+
+
+def _band_matvec(band, v) -> list:
+    """T v from the band of T (band[j][i] = T[i+j, i], unit
+    superdiagonal), each row summed over ascending columns as a dense
+    product sums it."""
+    p, n = len(band) - 1, len(v)
+    return [sum(band[i - k][k] * v[k] for k in range(max(0, i - p), i + 1))
+            + (v[i + 1] if i + 1 < n else 0) for i in range(n)]
 
 
 def exactness_profile(gen: GeneratorSequence, a: int, nodes: int,

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (BracketError, IllConditionedSpectrumError,
                      InvalidInputError, PoleError)
 from .generator import GeneratorSequence
 from .pbf import InitialConditionData, assemble_truncation, initial_conditions
-from .polynomials import eval_second_kind, eval_truncated, eval_type_ii
+from .polynomials import (_diagonals, eval_second_kind, eval_truncated,
+                          eval_type_ii)
 
 _BISECT_PASSES = 24
 _TREE_DEPTH = 4        # halvings per evaluation: 15 midpoints per bracket
@@ -30,9 +30,8 @@ _MP_DPS = 50
 def _band(gen: GeneratorSequence, N: int):
     """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
     for j = 0..p, and the bound max row sum + 1 above its spectrum."""
-    T = assemble_truncation(gen, N)
-    band = [np.diagonal(T.dense, -j).tolist() for j in range(gen.p + 1)]
-    return band, T.max_row_sum() + 1.0
+    return (_diagonals(gen, N),
+            assemble_truncation(gen, N).max_row_sum() + 1.0)
 
 
 def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
@@ -203,7 +202,7 @@ def _dense_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
 def _mp_char_coeffs(gen: GeneratorSequence, N: int):
     """Coefficients of B_{N+1} (highest degree first) in mpmath numbers."""
     import mpmath
-    T = assemble_truncation(gen, N).dense
+    d = _diagonals(gen, N, use_mp=True)
     p = gen.p
     zero = mpmath.mpf(0)
     polys = [[mpmath.mpf(1)]]          # ascending coefficient lists
@@ -211,10 +210,10 @@ def _mp_char_coeffs(gen: GeneratorSequence, N: int):
         cur = polys[n]
         nxt = [zero] + cur             # x * B_n
         for i, c in enumerate(cur):
-            nxt[i] -= mpmath.mpf(T[n, n]) * c
+            nxt[i] -= d[0][n] * c
         for j in range(1, min(p, n) + 1):
             for i, c in enumerate(polys[n - j]):
-                nxt[i] -= mpmath.mpf(T[n, n - j]) * c
+                nxt[i] -= d[j][n - j] * c
         polys.append(nxt)
     return list(reversed(polys[N + 1]))
 
@@ -511,21 +510,11 @@ def weyl_partial_fractions(dec: SpectralDecomposition, z) -> np.ndarray:
 
 def weyl_resolvent(gen: GeneratorSequence, N: int, z,
                    init: InitialConditionData = None) -> np.ndarray:
-    """Weyl functions via a banded linear solve on z I - T."""
+    """Weyl functions via a linear solve on z I - T."""
     if init is None:
         init = initial_conditions(gen)
-    T = assemble_truncation(gen, N)
     n, p = N + 1, gen.p
-    M = float(z) * np.eye(n) - T.dense
-    ab = np.zeros((p + 2, n))
-    for off in range(1, -p - 1, -1):
-        d = np.diagonal(M, off)
-        if off >= 0:
-            ab[1 - off, off:off + d.size] = d
-        else:
-            ab[1 - off, :d.size] = d
-    out = np.empty(p)
-    for a in range(1, p + 1):
-        y = solve_banded((p, 1), ab, init.embedded_vector(a, n))
-        out[a - 1] = y[0]
-    return out
+    M = float(z) * np.eye(n) - assemble_truncation(gen, N).dense
+    rhs = np.column_stack([init.embedded_vector(a, n)
+                           for a in range(1, p + 1)])
+    return np.linalg.solve(M, rhs)[0]

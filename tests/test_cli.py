@@ -137,3 +137,34 @@ def test_output_file(gen_file, tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(open(out).read())
     assert doc["command"] == "spectrum"
+
+
+def test_chain_extended_precision(tmp_path, capsys, monkeypatch):
+    # the stationary mass at state 0 is about 1.47e-13, so the vector is
+    # checked entry by entry against the double one as well as summed
+    from multihess import cli
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({
+        "p": 3,
+        "alphas": {"kind": "uniform", "low": 0.5, "high": 2.0, "seed": 7},
+    }))
+    built, real = [], cli.decompose
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "decompose", spy)
+    argv = ["chain", "--input", str(path), "--order", "30"]
+    monkeypatch.delenv("MULTIHESS_PRECISION", raising=False)
+    code, double = _run(argv, capsys)
+    assert code == EXIT_OK and not built[-1].use_mp
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, ext = _run(argv, capsys)
+    assert code == EXIT_OK
+    assert len(built) == 2 and built[-1].use_mp and built[-1].dps >= 50
+    pi = np.array(ext["stationary"])
+    assert abs(pi.sum() - 1.0) <= 1e-14
+    assert np.allclose(pi, double["stationary"], rtol=1e-3, atol=0.0)
+    assert ext["recurrence"]["recurrent"] is True
+    assert ext["transition_matrix"] == double["transition_matrix"]

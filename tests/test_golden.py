@@ -3,7 +3,8 @@
 Each case runs one `multihess.cli.main` request and compares the SHA-256
 of its stdout (followed by its CSV file, when it writes one) with a digest
 recorded from the program before the band-recurrence kernel and the
-multisection of the interlacing bootstrap.  Changes meant to keep every
+multisection of the interlacing bootstrap (the `simulate` cases: before
+the windowed Monte Carlo step).  Changes meant to keep every
 float operation must leave these digests alone; a change that
 deliberately alters an output (a new field, the version string, another
 root route) has to record them again.
@@ -44,6 +45,22 @@ CASES = [
     ("spectrum_extended_p2", 2, 20, ["spectrum", "--order", "12"],
      "extended",
      "6609b76e6ec5d1076e96f1391ee44bb9acd9d024258ee1efb2cfd63fd2abb7ea"),
+    ("simulate_p2_type_ii", 2, 21,
+     ["simulate", "--order", "15", "--start", "4", "--steps", "9",
+      "--trials", "70000", "--seed", "123"], None,
+     "274344ea24ff70a2fb79aef2a1b35f44c660ef3cdcd8835cbdff2ea78a22dcd5"),
+    ("simulate_p2_type_i", 2, 22,
+     ["simulate", "--order", "18", "--kind", "type_i", "--start", "11",
+      "--steps", "12", "--trials", "5000", "--seed", "7"], None,
+     "057ad94bfb17c12b74336817e053b225c3f01e9090074bd87238ae25b2f1fb2f"),
+    ("simulate_p3_type_ii", 3, 23,
+     ["simulate", "--order", "25", "--start", "2", "--steps", "12",
+      "--trials", "5000", "--seed", "2024"], None,
+     "5acfc3601d25af59f14eb26d47b21e9c9bf177ce1c63f8a13441cb07833238a9"),
+    ("simulate_p3_type_i", 3, 24,
+     ["simulate", "--order", "20", "--kind", "type_i", "--start", "20",
+      "--steps", "15", "--trials", "5000", "--seed", "99"], None,
+     "b6e1764491c434d4e165d3d316f0229ce34fcda33fa63fc2131f56df4334da83"),
 ]
 
 

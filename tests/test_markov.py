@@ -74,6 +74,18 @@ def test_return_gf_monotone_and_recurrent():
         return_probability_gf(dec, 0, 1.5)
 
 
+def test_recurrent_at_tiny_stationary_mass():
+    # pi_0 is about 1.47e-13, far below the last sample's 1 - s = 1e-8,
+    # where the sampled first-return values still look transient
+    g = GeneratorSequence.uniform(3, 0.5, 2.0, seed=7)
+    dec = decompose(g, 30)
+    out = recurrence_diagnostic(dec, 0)
+    assert 0.0 < out["residue"] < 1e-12
+    assert out["residue"] == stationary_distribution(dec)[0]
+    assert out["values"][-1] < 0.5
+    assert out["recurrent"] is True
+
+
 def test_return_gf_series_consistency():
     # the generating function must equal the power series of the diagonal
     # n-step probabilities, summed far enough for a small s.

@@ -6,6 +6,7 @@ import pytest
 
 from multihess import (GeneratorSequence, InvalidInputError, finite_chain,
                        simulate_chain)
+from multihess.montecarlo import _cdf_window, _step
 from multihess.rng import XorShift64Star, splitmix64, uniform_stream
 
 
@@ -79,3 +80,61 @@ def test_simulation_validation():
         simulate_chain(P * 1.01, 0, 5, 10, seed=0)
     with pytest.raises(InvalidInputError):
         simulate_chain(P[:3], 0, 5, 10, seed=0)
+
+
+def _dense_step(P, where, u):
+    """The step over whole rows: the count of row-CDF entries <= u."""
+    cdf = np.cumsum(P, axis=1)
+    cdf[:, -1] = 1.0
+    return (cdf[where] <= u[:, None]).sum(axis=1)
+
+
+def _rows(A, total=1.0):
+    A = np.asarray(A, dtype=float)
+    return A / A.sum(axis=1, keepdims=True) * total
+
+
+def _window_cases():
+    g2 = GeneratorSequence.uniform(2, 0.5, 2.0, seed=71)
+    g3 = GeneratorSequence.uniform(3, 0.5, 2.0, seed=72)
+    yield "type_ii", finite_chain(g3, 12, kind="type_ii").P
+    yield "type_i", finite_chain(g2, 10, kind="type_i").P
+    # bands of width 4 that run into the last column from row 3 on
+    yield "last_column", _rows(np.triu(np.tril(np.ones((7, 7)), 3)))
+    # zeros inside the band, at its ends and in its middle; rows short
+    # of 1 by 5e-13 give CDF values below 1 past the band
+    A = np.triu(np.tril(np.arange(1.0, 50.0).reshape(7, 7), 2), -2)
+    A[1, 2] = A[3, 1] = A[3, 3] = A[4, 6] = A[6, 4] = 0.0
+    yield "inner_zeros", _rows(A, 1.0 - 5e-13)
+    yield "dense", _rows(np.random.default_rng(3).uniform(0.1, 1.0, (6, 6)))
+    yield "shift", np.roll(np.eye(5), 1, axis=1)           # window width 1
+    yield "order_0", finite_chain(g2, 0).P
+
+
+@pytest.mark.parametrize("name,P", list(_window_cases()),
+                         ids=[c[0] for c in _window_cases()])
+def test_windowed_step_equals_dense_step(name, P):
+    n = P.shape[0]
+    # every CDF value, its neighbours, the ends of [0, 1) and random u,
+    # each from every state
+    c = np.unique(np.cumsum(P, axis=1))
+    u = np.concatenate((c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                        [0.0, 0.5, np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(n).uniform(size=50)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    where = np.repeat(np.arange(n), u.size)
+    u = np.tile(u, n)
+    got = _step(_cdf_window(P), where, u)
+    assert np.array_equal(got, _dense_step(P, where, u))
+    # and whole simulations, across a chunk boundary
+    for start in sorted({0, n // 2, n - 1}):
+        rep = simulate_chain(P, start, 5, 3000, seed=start, chunk=1024)
+        counts = np.zeros(n, dtype=np.int64)
+        for base in range(0, 3000, 1024):
+            m = min(1024, 3000 - base)
+            rng = XorShift64Star(start, m, stream_offset=base)
+            w = np.full(m, start, dtype=np.intp)
+            for _ in range(5):
+                w = _dense_step(P, w, rng.next_float())
+            counts += np.bincount(w, minlength=n)
+        assert np.array_equal(rep.counts, counts)
