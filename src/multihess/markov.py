@@ -19,7 +19,7 @@ from .errors import InvalidInputError, NormalizationError
 from .generator import GeneratorSequence
 from .pbf import assemble_truncation, _bidiagonal_factors
 from .polynomials import eval_truncated, eval_type_ii
-from .spectral import SpectralDecomposition, eigenvalues
+from .spectral import SpectralDecomposition, _mp_polish, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,9 @@ def _polished_top(gen: GeneratorSequence, N: int, start: float = None):
     defects already around N = 40, so the similarity weights are always
     produced at extended precision.
     """
-    import mpmath
     if start is None:
         start = float(eigenvalues(gen, N)[0])
-    with mpmath.workdps(60):
-        x = mpmath.mpf(start)
-        for _ in range(5):
-            vals, dvals = eval_type_ii(gen, N, x, derivative=True,
-                                       use_mp=True)
-            x = x - vals[N + 1] / dvals[N + 1]
-    return x
+    return _mp_polish(gen, N, [start], dps=60)[0]
 
 
 def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii",
@@ -79,18 +72,17 @@ def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii",
         elif kind == "type_i":
             Rm = eval_truncated(gen, N, lam_mp, use_mp=True)
             vm = Rm[1:N + 2] / Rm[1]
+            T = T.T
         else:
             raise InvalidInputError(f"unknown chain kind {kind!r}")
         if min(vm) <= 0:
             raise NormalizationError("similarity weights are not all positive")
-        ratio = np.array([[float(vm[j] / vm[i]) for j in range(N + 1)]
-                          for i in range(N + 1)])
+        ratio = np.zeros_like(T)
+        for i, j in zip(*np.nonzero(T)):        # P vanishes where T does
+            ratio[i, j] = float(vm[j] / vm[i])
         lam1 = float(lam_mp)
     v = np.array([float(x) for x in vm])
-    if kind == "type_ii":
-        P = (T / lam1) * ratio
-    else:
-        P = (T.T / lam1) * ratio
+    P = (T / lam1) * ratio
     return FiniteChain(gen=gen, N=N, kind=kind, P=P, lam=lam1, weights=v)
 
 

@@ -95,7 +95,8 @@ def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
         raise InvalidInputError("start state out of range")
     if steps < 0 or trials <= 0:
         raise InvalidInputError("steps must be >= 0 and trials positive")
-    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-12 or P.min() < 0.0:
+    if (not np.isfinite(P).all() or P.min() < 0.0
+            or np.abs(P.sum(axis=1) - 1.0).max() > 1e-12):
         raise InvalidInputError("matrix is not stochastic to tolerance")
     window = _cdf_window(P)
     counts = np.zeros(n, dtype=np.int64)

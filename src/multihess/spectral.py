@@ -243,14 +243,21 @@ def _mp_polish(gen: GeneratorSequence, N: int, roots, dps: int = _MP_DPS):
     """Refine roots with Newton steps in mpmath at the given precision.
 
     Accepts float or mpmath inputs; mpmath inputs keep their full value,
-    so sub-double clusters survive the polish.
+    so sub-double clusters survive the polish.  Stops after the first
+    step whose largest relative correction is at most 10^-(dps//2):
+    Newton converges quadratically, so the next correction would sit at
+    the 10^-dps noise floor.  At most 6 steps.
     """
     import mpmath
     with mpmath.workdps(dps):
         x = np.array([mpmath.mpf(v) for v in roots], dtype=object)
+        tol = mpmath.mpf(10) ** -(dps // 2)
         for _ in range(6):
             B, dB = eval_type_ii(gen, N, x, derivative=True, use_mp=True)
-            x = x - B[N + 1] / dB[N + 1]
+            step = B[N + 1] / dB[N + 1]
+            x = x - step
+            if np.abs(step / x).max() <= tol:
+                break
     return x
 
 
@@ -393,13 +400,19 @@ class SpectralDecomposition:
         return nullcontext()
 
     def biorthogonality_residuals(self):
-        """(max|WU - I|, max|UW - I|)."""
-        n = self.N + 1
-        eye = np.eye(n)
+        """(max|WU - I|, max|UW - I|).  In extended mode every entry is one
+        mpmath.fdot, an exact dot product rounded once at the tables'
+        precision, so cancelling large terms costs no digits."""
+        pairs = ((self.W, self.U), (self.U, self.W))
+        if not self.use_mp:
+            eye = np.eye(self.N + 1)
+            return tuple(float(abs(A @ B - eye).max()) for A, B in pairs)
+        import mpmath
         with self.workprec():
-            r1 = abs(self.W @ self.U - eye).max()
-            r2 = abs(self.U @ self.W - eye).max()
-        return float(r1), float(r2)
+            return tuple(float(max(abs(mpmath.fdot(a, b) - (i == j))
+                                   for i, a in enumerate(A)
+                                   for j, b in enumerate(B.T)))
+                         for A, B in pairs)
 
     def matrix_power(self, n: int) -> np.ndarray:
         """(T^[N])^n reconstructed as U diag(lams^n) W."""
@@ -417,35 +430,43 @@ class SpectralDecomposition:
 def decompose(gen: GeneratorSequence, N: int,
               init: InitialConditionData = None,
               use_mp: bool = False) -> SpectralDecomposition:
-    """Full spectral data of the order-N truncation."""
+    """Full spectral data of the order-N truncation.
+
+    In extended mode the sums WU and UW cancel terms as large as
+    max(|W||U|, |U||W|), so the digits adapt: the tables are built on the
+    eigenvalues() polished at _MP_DPS (polished again when a tight
+    cluster asks for more digits) and rebuilt until the digits exceed by
+    26 the log10 of that magnitude, read from float copies of the tables.
+    If an entry lies beyond double range, the float products turn inf or
+    nan and the magnitude is bounded above from binary exponents."""
     if init is None:
         init = initial_conditions(gen)
     lams = eigenvalues(gen, N, use_mp=use_mp)
     if use_mp:
         import mpmath
-        # The biorthogonal sums cancel terms as large as max(|W| |U|), so
-        # a fixed precision cannot bound the residual when the truncation
-        # is strongly nonnormal.  Build the tables, measure that term
-        # magnitude, and rebuild at higher precision until the headroom
-        # above it is sufficient.
+        # Keep enough digits that the tightest cluster stays resolved
+        # through the polish.
+        desc = list(lams)
+        relgap = min(a - b for a, b in zip(desc, desc[1:])) / desc[0]
         dps = _MP_DPS
-        if lams.dtype == object:
-            # Keep enough digits that the tightest cluster stays resolved
-            # through the polish.
-            desc = list(lams)
-            relgap = min(a - b for a, b in zip(desc, desc[1:])) / desc[0]
-            if relgap > 0:
-                dps = max(dps, int(-mpmath.log10(relgap)) + 15)
+        if relgap > 0:
+            dps = max(dps, int(-mpmath.log10(relgap)) + 15)
         for _ in range(5):
-            lams_mp = _mp_polish(gen, N, lams, dps=dps)
+            lams_mp = (_mp_polish(gen, N, lams, dps=dps) if dps > _MP_DPS
+                       else lams)
             with mpmath.workdps(dps):
                 B, dB = eval_type_ii(gen, N, lams_mp, derivative=True,
                                      use_mp=True)
                 R = eval_truncated(gen, N, lams_mp, use_mp=True)
                 U = B[:N + 1].copy()
                 W = (R[1:N + 2] / dB[N + 1]).T.copy()
-                maxterm = (np.abs(W) @ np.abs(U)).max()
-                magnitude = int(mpmath.log10(maxterm)) if maxterm > 1 else 0
+            Wf, Uf = np.abs(W.astype(float)), np.abs(U.astype(float))
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = np.log10(np.max([(Wf @ Uf).max(), (Uf @ Wf).max()]))
+            if not np.isfinite(top):
+                top = np.log10(N + 1) + np.log10(2.0) * sum(
+                    max(map(mpmath.mag, A.flat)) for A in (W, U))
+            magnitude = int(max(0.0, top))     # 0 for nan (nan spectrum)
             if dps >= magnitude + 26:
                 break
             dps = magnitude + 32

@@ -168,3 +168,19 @@ def test_chain_extended_precision(tmp_path, capsys, monkeypatch):
     assert np.allclose(pi, double["stationary"], rtol=1e-3, atol=0.0)
     assert ext["recurrence"]["recurrent"] is True
     assert ext["transition_matrix"] == double["transition_matrix"]
+
+
+@pytest.mark.parametrize("p,low,high,seed,order", [
+    (2, 0.1, 10.0, 5, 40), (3, 0.05, 20.0, 1, 30)])
+def test_verify_extended_sizes_digits_by_both_products(
+        p, low, high, seed, order, tmp_path, capsys, monkeypatch):
+    # Here max|U| reaches 5e46 and the terms of UW dwarf those of WU; with
+    # digits sized by |W||U| alone the UW residual was about 2e-4.
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": p, "alphas": {
+        "kind": "uniform", "low": low, "high": high, "seed": seed}}))
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, doc = _run(["verify", "--input", str(path), "--order",
+                      str(order)], capsys)
+    assert code == EXIT_OK
+    assert doc["ok"] is True and doc["failures"] == []

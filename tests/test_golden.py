@@ -4,7 +4,8 @@ Each case runs one `multihess.cli.main` request and compares the SHA-256
 of its stdout (followed by its CSV file, when it writes one) with a digest
 recorded from the program before the band-recurrence kernel and the
 multisection of the interlacing bootstrap (the `simulate` cases: before
-the windowed Monte Carlo step).  Changes meant to keep every
+the windowed Monte Carlo step; the last three extended cases: before the
+Newton polish stopped at convergence).  Changes meant to keep every
 float operation must leave these digests alone; a change that
 deliberately alters an output (a new field, the version string, another
 root route) has to record them again.
@@ -61,6 +62,13 @@ CASES = [
      ["simulate", "--order", "20", "--kind", "type_i", "--start", "20",
       "--steps", "15", "--trials", "5000", "--seed", "99"], None,
      "b6e1764491c434d4e165d3d316f0229ce34fcda33fa63fc2131f56df4334da83"),
+    ("verify_extended_p3", 3, 25, ["verify", "--order", "25"], "extended",
+     "0d67fa30a314348c1f5ad7129e0955b8d9f49c6b3133db204a91658bc8464196"),
+    ("spectrum_extended_p3", 3, 26, ["spectrum", "--order", "25"],
+     "extended",
+     "49c3a55051040a07ec7789885ba6d8155d1d0ed5031fece188def3aa6140fd6f"),
+    ("chain_extended_p2", 2, 27, ["chain", "--order", "20"], "extended",
+     "2804fdf31d9acd0a38b374871b81f22648525724c29ca71ef7244454a29f6428"),
 ]
 
 

@@ -36,6 +36,28 @@ def test_finite_chain_band_structure():
     assert np.all(np.triu(ch1.P, g.p + 1) == 0)
 
 
+def test_finite_chain_equals_dense_similarity():
+    # Only the band entries of the ratio are formed; the dense ratio
+    # multiplies exact zeros elsewhere, so P is the same bit for bit.
+    import mpmath
+    from multihess import assemble_truncation
+    from multihess.markov import _polished_top
+    from multihess.polynomials import eval_truncated, eval_type_ii
+    g, N = _chain_case(seed=53, p=3, N=15)
+    T = assemble_truncation(g, N).dense
+    lam = _polished_top(g, N)
+    with mpmath.workdps(60):
+        R = eval_truncated(g, N, lam, use_mp=True)
+        for kind, vm, M in (
+                ("type_ii", eval_type_ii(g, N, lam, use_mp=True)[:N + 1], T),
+                ("type_i", R[1:N + 2] / R[1], T.T)):
+            ratio = np.array([[float(vm[j] / vm[i]) for j in range(N + 1)]
+                              for i in range(N + 1)])
+            want = (M / float(lam)) * ratio
+            got = finite_chain(g, N, kind=kind, lam=lam).P
+            assert got.tobytes() == want.tobytes()
+
+
 def test_km_power_matches_matrix_power():
     g, N = _chain_case(seed=51)
     dec = decompose(g, N, use_mp=True)

@@ -68,6 +68,13 @@ def test_simulation_zero_steps():
     assert r.counts[3] == 100 and r.counts.sum() == 100
 
 
+def test_simulation_rejects_nan():
+    # NaN fails no row-sum or sign comparison, so it needs its own check
+    P = np.array([[0.5, 0.5, 0.0], [0.2, np.nan, 0.3], [0.0, 0.4, 0.6]])
+    with pytest.raises(InvalidInputError):
+        simulate_chain(P, 0, 5, 1000, seed=1)
+
+
 def test_simulation_validation():
     P = _small_chain()
     with pytest.raises(InvalidInputError):

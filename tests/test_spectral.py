@@ -8,9 +8,11 @@ from multihess import (GeneratorSequence, InvalidInputError, PoleError,
                        eigenvalues, moments_matvec,
                        weyl_partial_fractions, weyl_rational,
                        weyl_resolvent)
+import multihess.spectral as spectral
 from multihess.polynomials import eval_type_ii
-from multihess.spectral import (_BISECT_PASSES, _band, _bootstrap_roots,
-                                _char, _mp_roots, _multisect)
+from multihess.spectral import (_BISECT_PASSES, _MP_DPS, _band,
+                                _bootstrap_roots, _char, _mp_polish,
+                                _mp_roots, _multisect)
 
 
 def test_golden_tridiagonal_spectrum():
@@ -182,3 +184,72 @@ def test_eigenvalues_match_high_precision_roots(p, N):
     ref = np.array([float(v) for v in _mp_roots(g, N)])[::-1]
     lams = eigenvalues(g, N)
     assert np.abs(lams - ref).max() <= 1e-12 * ref[0]
+
+
+def test_mp_polish_matches_six_newton_steps(monkeypatch):
+    # The converged stop leaves the roots within the noise floor of the
+    # six steps it skips, and on this instance stops after three.
+    import mpmath
+    g = GeneratorSequence.uniform(3, 0.5, 2.0, seed=26)
+    N = 25
+    start = _bootstrap_roots(g, N)
+    with mpmath.workdps(_MP_DPS):
+        want = np.array([mpmath.mpf(v) for v in start], dtype=object)
+        for _ in range(6):
+            B, dB = eval_type_ii(g, N, want, derivative=True, use_mp=True)
+            want = want - B[N + 1] / dB[N + 1]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eval_type_ii(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eval_type_ii", counted)
+    got = _mp_polish(g, N, start)
+    assert len(calls) <= 3
+    with mpmath.workdps(_MP_DPS):
+        worst = max(abs(a - b) / abs(b) for a, b in zip(got, want))
+    assert worst <= mpmath.mpf(10) ** -(_MP_DPS - 5)
+
+
+def test_extended_decompose_polishes_once(monkeypatch):
+    # eigenvalues() polishes at _MP_DPS; at unchanged digits decompose
+    # builds its tables on those roots without a second polish.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eval_type_ii(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eval_type_ii", counted)
+    dec = decompose(GeneratorSequence.uniform(3, 0.5, 2.0, seed=26), 25,
+                    use_mp=True)
+    assert dec.dps == _MP_DPS
+    assert len(calls) <= 4          # three Newton steps and the tables
+
+
+@pytest.mark.parametrize("p,N,seed", [(2, 20, 5), (3, 25, 26)])
+def test_extended_residuals_match_object_matmul(p, N, seed):
+    # The object matmul rounds every partial sum, so it is only a
+    # reference up to n * max(|A||B|) * 10^-dps; fdot rounds once.
+    import mpmath
+    dec = decompose(GeneratorSequence.uniform(p, 0.5, 2.0, seed=seed), N,
+                    use_mp=True)
+    got = dec.biorthogonality_residuals()
+    eye = np.eye(N + 1)
+    with dec.workprec():
+        for r, (A, B) in zip(got, ((dec.W, dec.U), (dec.U, dec.W))):
+            ref = abs(A @ B - eye).max()
+            slack = 2 * (N + 1) * (np.abs(A) @ np.abs(B)).max()
+            assert abs(r - ref) <= slack * mpmath.mpf(10) ** -dec.dps
+
+
+def test_extended_digits_cover_entries_beyond_double_range():
+    # All eigenvalues near 1e-19: W reaches 1e400 and U falls to 1e-400,
+    # so UW cancels terms far beyond double range.  The digit rule has to
+    # see them although their float copies are inf and 0.
+    g = GeneratorSequence.uniform(1, 1e-20, 2e-20, seed=3)
+    dec = decompose(g, 20, use_mp=True)
+    assert not np.isfinite(dec.W.astype(float)).all()
+    assert dec.dps > 400
+    assert max(dec.biorthogonality_residuals()) < 1e-20
