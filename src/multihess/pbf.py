@@ -31,31 +31,6 @@ class BandedHessenberg:
     def __post_init__(self):
         self.dense.setflags(write=False)
 
-    def max_row_sum(self) -> float:
-        return float(np.abs(self.dense).sum(axis=1).max())
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Banded matrix-vector product, O((p+2) N)."""
-        x = np.asarray(x, dtype=float)
-        y = np.diagonal(self.dense, 0) * x
-        y[:-1] += x[1:]  # unit superdiagonal
-        for j in range(1, self.p + 1):
-            d = np.diagonal(self.dense, -j)
-            if d.size:
-                y[j:] += d * x[:-j]
-        return y
-
-    def left_matvec(self, v: np.ndarray) -> np.ndarray:
-        """Row-vector product v T, same banded cost."""
-        v = np.asarray(v, dtype=float)
-        y = np.diagonal(self.dense, 0) * v
-        y[1:] += v[:-1]
-        for j in range(1, self.p + 1):
-            d = np.diagonal(self.dense, -j)
-            if d.size:
-                y[:-j] += d * v[j:]
-        return y
-
 
 def _bidiagonal_factors(gen: GeneratorSequence, N: int):
     """Subdiagonals of L_1..L_p and the diagonal of U for order N."""
@@ -78,17 +53,37 @@ def _lower_apply(sub: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def assemble_truncation(gen: GeneratorSequence, N: int) -> BandedHessenberg:
-    """Build T^[N] = L_1 ... L_p U from the generator's bidiagonal factors."""
+def band_diagonals(gen: GeneratorSequence, N: int) -> list:
+    """The p+1 band diagonals band[j][i] = T[i+j, i] of T^[N] = L_1 ... L_p U
+    in O(pN) (the superdiagonal is 1, every other entry 0), each entry by
+    the float operations of the dense product, so it keeps its bits."""
     if N < 0:
         raise InvalidInputError("truncation order must be >= 0")
     lowers, u_diag = _bidiagonal_factors(gen, N)
-    M = np.diag(u_diag) + np.diag(np.ones(N), 1)
+    rows = np.arange(N + 1) + np.arange(gen.p + 1)[:, None]    # i + j
+    band = np.zeros(rows.shape)
+    band[0] = u_diag
+    above = np.ones((1, N + 1))                                # T[i-1, i]
+    above[0, 0] = 0.0
+    at_row = np.zeros(N + gen.p + 2)
     for sub in reversed(lowers):
-        M = _lower_apply(sub, M)
-    if not np.all(np.isfinite(M)):
+        # I + diag(sub, -1) adds sub[i+j-1] T[i+j-1, i] to T[i+j, i]
+        at_row[1:N + 1] = sub
+        band = band + at_row[rows] * np.concatenate((above, band[:-1]))
+    if not np.all(np.isfinite(band)):
         raise NumericRangeError("overflow while multiplying bidiagonal factors")
+    return [band[j, :max(N + 1 - j, 0)] for j in range(gen.p + 1)]
+
+
+# Kept cached because the benchmark tracer reads and clears cache_info();
+# the band readers on the request path call band_diagonals instead.
+@lru_cache(maxsize=64)
+def assemble_truncation(gen: GeneratorSequence, N: int) -> BandedHessenberg:
+    """Dense T^[N] = L_1 ... L_p U, placed from band_diagonals."""
+    band = band_diagonals(gen, N)
+    M = np.diag(np.ones(N), 1)
+    for j, d in enumerate(band):
+        M[np.arange(j, j + d.size), np.arange(d.size)] = d
     return BandedHessenberg(p=gen.p, N=N, dense=M, pbf=True)
 
 

@@ -13,15 +13,14 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .generator import GeneratorSequence
-from .pbf import InitialConditionData, assemble_truncation
+from .pbf import InitialConditionData, band_diagonals
 
 
 def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False):
     """The entries of T^[order] the recurrences read: band[j][i] =
     T[i+j, i] for j = 0..p, as Python floats or mpf (the superdiagonal
     is 1 and every other entry 0)."""
-    T = assemble_truncation(gen, order).dense
-    band = [np.diagonal(T, -j).tolist() for j in range(gen.p + 1)]
+    band = [d.tolist() for d in band_diagonals(gen, order)]
     if use_mp:
         import mpmath
         band = [[mpmath.mpf(v) for v in d] for d in band]

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (BracketError, IllConditionedSpectrumError,
                      InvalidInputError, PoleError)
 from .generator import GeneratorSequence
-from .pbf import InitialConditionData, assemble_truncation, initial_conditions
+from .pbf import (InitialConditionData, assemble_truncation, band_diagonals,
+                  initial_conditions)
 from .polynomials import (_diagonals, eval_second_kind, eval_truncated,
                           eval_type_ii)
 
@@ -30,8 +31,19 @@ _MP_DPS = 50
 def _band(gen: GeneratorSequence, N: int):
     """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
     for j = 0..p, and the bound max row sum + 1 above its spectrum."""
-    return (_diagonals(gen, N),
-            assemble_truncation(gen, N).max_row_sum() + 1.0)
+    band = band_diagonals(gen, N)
+    rows = np.r_[np.ones(N), 0.0]          # unit superdiagonal; T >= 0
+    for j, d in enumerate(band):
+        rows[j:] += d
+    return [d.tolist() for d in band], float(rows.max()) + 1.0
+
+
+def _certified(roots: np.ndarray, band) -> bool:
+    """Whether ascending float roots are positive, strictly increasing
+    and sum to the trace of T within 1e-12 of their sum; NaN fails."""
+    total = roots.sum()
+    return bool(roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)
+                and abs(total - sum(band[0])) <= 1e-12 * total)
 
 
 def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
@@ -158,7 +170,7 @@ def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
     """Ascending roots of B_{N+1}, one _next_level per level.
 
     Raises BracketError when a level loses its bracket structure or the
-    final roots collapse to the same float (sub-roundoff clusters).
+    final roots fail _certified (collapsed or misplaced roots).
     """
     band, ub = _band(gen, N)
     roots = np.array([band[0][0]])
@@ -168,21 +180,20 @@ def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
             # Two intermediate roots may coincide to machine precision
             # even though later levels separate again; keep the walk
             # strictly ordered by the smallest possible nudge.  The final
-            # level is validated below and triggers a fallback if the
+            # level is certified below and triggers a fallback if the
             # separation was never real.
             for i in range(1, roots.size):
                 if roots[i] <= roots[i - 1]:
                     roots[i] = np.nextafter(roots[i - 1], np.inf)
-    if np.any(np.diff(roots) <= 0.0):
-        i = int(np.argmin(np.diff(roots) > 0.0))
-        raise BracketError("two roots collapsed to the same float",
-                           level=N + 1, interval=(roots[i], roots[i + 1]))
+    if not _certified(roots, band):
+        raise BracketError("bootstrap spectrum failed its certificate",
+                           level=N + 1)
     return roots
 
 
 def _dense_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
     """Fallback: dense eigenvalues, Newton-polished on the recurrence;
-    raises IllConditionedSpectrumError unless positive and simple."""
+    raises IllConditionedSpectrumError unless _certified."""
     ev = np.linalg.eigvals(assemble_truncation(gen, N).dense)
     if np.abs(ev.imag).max() > 1e-8 * max(1.0, np.abs(ev.real).max()):
         raise IllConditionedSpectrumError(
@@ -194,8 +205,8 @@ def _dense_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x - np.where(df != 0.0, f / df, 0.0)
     x = np.sort(x)
-    if x[0] <= 0.0 or np.any(np.diff(x) <= 0.0):
-        raise IllConditionedSpectrumError("dense spectrum is degenerate")
+    if not _certified(x, band):
+        raise IllConditionedSpectrumError("dense spectrum failed its certificate")
     return x
 
 
@@ -219,14 +230,18 @@ def _mp_char_coeffs(gen: GeneratorSequence, N: int):
 
 
 def _mp_roots(gen: GeneratorSequence, N: int):
-    """All roots of B_{N+1} by a high-precision dense polynomial solver,
+    """All roots of B_{N+1} by a high-precision polynomial solver,
     ascending, as mpmath numbers; raises IllConditionedSpectrumError when
-    they are not positive and simple.  Slow; used when double precision
-    cannot separate the spectrum."""
+    it does not converge or they are not positive and simple.  Slow; the
+    last resort when double precision cannot separate the spectrum."""
     import mpmath
     with mpmath.workdps(3 * _MP_DPS):
         coeffs = _mp_char_coeffs(gen, N)
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        except mpmath.libmp.NoConvergence as exc:
+            raise IllConditionedSpectrumError(
+                "high-precision solver did not converge") from exc
         scale = max(abs(r) for r in roots)
         for r in roots:
             if abs(mpmath.im(r)) > mpmath.mpf(10) ** (-_MP_DPS) * scale:
@@ -281,21 +296,18 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
         asc = _mp_roots(gen, N)
         if not use_mp:
             roots = np.array([float(v) for v in asc])
-            if roots[0] <= 0.0 or np.any(np.diff(roots) <= 0.0):
+            if not _certified(roots, _diagonals(gen, N)):
                 raise IllConditionedSpectrumError(
                     "spectrum is positive and simple but not separable "
                     "in double precision; use extended precision")
             asc = roots
         return asc[::-1].copy()
-    if roots[0] <= 0.0 or np.any(np.diff(roots) <= 0.0):
-        raise IllConditionedSpectrumError(
-            "computed spectrum is not positive and simple")
     if use_mp:
         # Newton polish cannot split roots that double precision sees as
         # (nearly) equal; clusters below ~1e-12 relative go through the
         # high-precision solver instead.
         gaps = np.diff(roots) / max(roots.max(), 1e-300)
-        if gaps.min() < 1e-12:
+        if gaps.min(initial=np.inf) < 1e-12:
             asc = _mp_roots(gen, N)
         else:
             asc = _mp_polish(gen, N, roots)
@@ -317,10 +329,8 @@ def eigenvalue_pair(gen: GeneratorSequence, N: int):
         prev = _bootstrap_roots(gen, N - 1)
         band, ub = _band(gen, N)
         last = _next_level(band, N + 1, prev, ub)
-        # _bootstrap_roots already rejects a non-increasing prev
-        if (prev[0] <= 0.0 or last[0] <= 0.0
-                or np.any(np.diff(last) <= 0.0)):
-            raise BracketError("bootstrap produced a degenerate level")
+        if not _certified(last, band):     # prev is certified
+            raise BracketError("bootstrap level failed its certificate")
         return prev[::-1].copy(), last[::-1].copy()
     except BracketError:
         return eigenvalues(gen, N - 1), eigenvalues(gen, N)
@@ -447,7 +457,8 @@ def decompose(gen: GeneratorSequence, N: int,
         # Keep enough digits that the tightest cluster stays resolved
         # through the polish.
         desc = list(lams)
-        relgap = min(a - b for a, b in zip(desc, desc[1:])) / desc[0]
+        relgap = min((a - b for a, b in zip(desc, desc[1:])),
+                     default=0) / desc[0]
         dps = _MP_DPS
         if relgap > 0:
             dps = max(dps, int(-mpmath.log10(relgap)) + 15)
@@ -496,14 +507,18 @@ def moments_matvec(gen: GeneratorSequence, N: int, order: int,
     """
     if init is None:
         init = initial_conditions(gen)
-    T = assemble_truncation(gen, N)
+    band = band_diagonals(gen, N)
     out = np.empty((order + 1, gen.p))
     for a in range(1, gen.p + 1):
         v = init.embedded_vector(a, N + 1)
         for n in range(order + 1):
             out[n, a - 1] = v[0]
-            if n < order:
-                v = T.matvec(v)
+            if n < order:     # v <- T v in O(pN)
+                y = band[0] * v
+                y[:-1] += v[1:]
+                for j in range(1, len(band)):
+                    y[j:] += band[j] * v[:-j]
+                v = y
     return out
 
 

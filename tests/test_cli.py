@@ -184,3 +184,97 @@ def test_verify_extended_sizes_digits_by_both_products(
                       str(order)], capsys)
     assert code == EXIT_OK
     assert doc["ok"] is True and doc["failures"] == []
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_verify_never_ok_on_overflowing_input(precision, tmp_path, capsys,
+                                              monkeypatch):
+    # the double bootstrap overflows to a NaN spectrum here; verify used
+    # to print "ok": true on it
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": 1, "alphas": {
+        "kind": "uniform", "low": 1e40, "high": 2e40, "seed": 3}}))
+    monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+    with np.errstate(all="ignore"):
+        code, doc = _run(["verify", "--input", str(path), "--order", "10"],
+                         capsys)
+    assert code in (EXIT_NUMERIC, EXIT_VERIFY)
+    assert doc is None or doc["ok"] is False
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_verify_checks_fail_on_nan_tables(precision, gen_file, capsys,
+                                          monkeypatch):
+    from multihess import cli
+    real = cli.decompose
+
+    def nan_tables(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        with np.errstate(invalid="ignore"):
+            dec.lams, dec.mu = dec.lams * np.nan, dec.mu * np.nan
+            dec.U = dec.U * np.nan
+        return dec
+
+    monkeypatch.setattr(cli, "decompose", nan_tables)
+    monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+    code, doc = _run(["verify", "--input", gen_file, "--order", "6"], capsys)
+    assert code == EXIT_VERIFY and doc["ok"] is False
+    assert doc["failures"][:3] == [
+        "biorthogonality residual nan",
+        "spectrum is not positive and strictly ordered",
+        "a Christoffel weight is not positive"]
+    assert doc["failures"][3:] == ["moment mismatch a=1 n=0",
+                                   "moment mismatch a=2 n=0"]
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("p,order", [(1, 0), (2, 0), (3, 0), (3, 1)])
+def test_every_command_at_low_orders(p, order, precision, tmp_path, capsys,
+                                     monkeypatch):
+    # order 0 works whenever it is at least p - 1; below that the commands
+    # that need the weights of p measures name the bound
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": p, "alphas": {
+        "kind": "uniform", "low": 0.5, "high": 2.0, "seed": 3}}))
+    monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+    common = ["--input", str(path)]
+    o = ["--order", str(order)]
+    below = order < p - 1
+    for argv in (["spectrum"] + o, ["verify"] + o, ["chain"] + o):
+        code = main(argv + common)
+        out, err = capsys.readouterr()
+        if below:
+            assert code == EXIT_CONFIG and out == ""
+            assert f"order {order} is below p - 1 = {p - 1}" in err
+        else:
+            assert code == EXIT_OK and json.loads(out)["order"] == order
+    code, doc = _run(["simulate", "--steps", "3", "--trials", "50",
+                      "--seed", "1"] + o + common, capsys)
+    assert code == EXIT_OK and sum(doc["counts"]) == 50
+    code = main(["quadrature", "--measure", "1", "--nodes", str(order + 1),
+                 "--check"] + common)
+    if order + 1 < p:
+        assert code == EXIT_NUMERIC
+        assert f"needs at least {p} nodes" in capsys.readouterr().err
+    else:
+        assert code == EXIT_OK
+
+
+def test_quadrature_honours_extended_precision(tmp_path, capsys,
+                                               monkeypatch):
+    # the double weights of the top nodes lose relative accuracy here and
+    # the high moments miss by 2.5e-6; the extended tables do not
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": 1, "alphas": {
+        "kind": "uniform", "low": 0.5, "high": 2.0, "seed": 118}}))
+    argv = ["quadrature", "--input", str(path), "--measure", "1",
+            "--nodes", "20", "--check"]
+    monkeypatch.delenv("MULTIHESS_PRECISION", raising=False)
+    code, double = _run(argv, capsys)
+    assert code == EXIT_OK
+    assert max(double["exactness_errors"].values()) > 1e-6
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, ext = _run(argv, capsys)
+    assert code == EXIT_OK and ext["degree"] == double["degree"] == 39
+    assert max(ext["exactness_errors"].values()) < 1e-13
+    assert np.allclose(ext["nodes"], double["nodes"], rtol=1e-12, atol=0)

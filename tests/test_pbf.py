@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from multihess import (GeneratorSequence, InvalidInputError,
-                       PreconditionError, assemble_truncation, darboux,
-                       entry, initial_conditions, oscillatory_check,
-                       script_L)
-from multihess.pbf import _bidiagonal_factors
+                       NumericRangeError, PreconditionError,
+                       assemble_truncation, darboux, entry,
+                       initial_conditions, oscillatory_check, script_L)
+from multihess.pbf import _bidiagonal_factors, band_diagonals
 
 
 def test_truncation_constant_p2_hand_computed():
@@ -55,12 +55,50 @@ def test_entry_consistent_with_truncations():
     assert entry(g, 3, 4) == 1.0
 
 
-def test_banded_matvec_agrees_with_dense():
-    g = GeneratorSequence.uniform(3, 0.5, 2.0, seed=2)
-    T = assemble_truncation(g, 9)
-    x = np.linspace(-1, 1, 10)
-    assert np.allclose(T.matvec(x), T.dense @ x, rtol=1e-14)
-    assert np.allclose(T.left_matvec(x), x @ T.dense, rtol=1e-14)
+def _dense_factor_product(g, N):
+    """L_1 ... L_p U by the dense float products written out here."""
+    lowers, u_diag = _bidiagonal_factors(g, N)
+    M = np.diag(u_diag) + np.diag(np.ones(N), 1)
+    for sub in reversed(lowers):
+        out = M.copy()
+        out[1:, :] += sub[:, None] * M[:-1, :]
+        M = out
+    return M
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_band_diagonals_match_dense_factor_product(p):
+    for N in sorted({0, p - 1, p, 1, 7, 20}):
+        for seed in (1, 2, 3):
+            g = GeneratorSequence.uniform(p, 0.1, 10.0, seed=seed)
+            M = _dense_factor_product(g, N)
+            band = band_diagonals(g, N)
+            assert len(band) == p + 1
+            for j, d in enumerate(band):
+                assert d.size == max(0, N + 1 - j)
+                # bit for bit, not merely equal as floats
+                assert (d.view(np.int64).tolist()
+                        == np.diagonal(M, -j).view(np.int64).tolist())
+            assert np.array_equal(assemble_truncation(g, N).dense, M)
+
+
+def test_band_diagonals_overflow_raises():
+    g = GeneratorSequence.uniform(2, 1e200, 2e200, seed=1)
+    with pytest.raises(NumericRangeError), np.errstate(all="ignore"):
+        band_diagonals(g, 4)
+    with pytest.raises(InvalidInputError):
+        band_diagonals(g, -1)
+
+
+def test_assemble_truncation_keeps_cache_interface():
+    # the benchmark tracer reads and clears this cache around each pass
+    assemble_truncation.cache_clear()
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=8)
+    assert assemble_truncation(g, 5) is assemble_truncation(g, 5)
+    info = assemble_truncation.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assemble_truncation.cache_clear()
+    assert assemble_truncation.cache_info().currsize == 0
 
 
 def test_darboux_p1_hand_computed():

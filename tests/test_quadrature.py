@@ -86,3 +86,54 @@ def test_integrate_callable():
     direct = (3 * reference_moment(g, 1, 2) - reference_moment(g, 1, 1)
               + reference_moment(g, 1, 0))
     assert poly == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,a,nodes", [(1, 1, 14), (2, 2, 9), (3, 1, 10),
+                                       (3, 3, 12)])
+def test_exactness_profile_moments_match_reference_moment_bitwise(p, a,
+                                                                  nodes):
+    # one moment chain on the largest truncation gives every order the
+    # bits of its own chain on the smallest exact truncation
+    from multihess import exactness_profile
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=40 + p)
+    prof = exactness_profile(g, a, nodes, extra=3)
+    rule = gauss_rule(g, a, nodes)
+    assert sorted(prof["errors"]) == list(range(rule.degree + 4))
+    for n, err in prof["errors"].items():
+        ref = reference_moment(g, a, n)
+        assert err == abs(rule.integrate_power(n) - ref) / max(1.0, abs(ref))
+
+
+def test_extended_sharpness_scan_matches_per_order_chains():
+    import mpmath
+    from multihess.polynomials import _diagonals
+    from multihess.quadrature import _band_matvec
+    from multihess.spectral import decompose
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=44)
+    a, nodes, extra = 1, 9, 3
+    ic = initial_conditions(g)
+    out = sharpness_scan(g, a, nodes, init=ic, extra=extra, use_mp=True)
+    dec = decompose(g, nodes - 1, init=ic, use_mp=True)
+    first = None
+    with dec.workprec():
+        for n in range(out["predicted_degree"] + extra + 1):
+            M = minimal_truncation(g.p, a, n)
+            band = _diagonals(g, M, True)
+            v = [mpmath.mpf(x) for x in ic.embedded_vector(a, M + 1)]
+            for _ in range(n):
+                v = _band_matvec(band, v)
+            got = np.sum(dec.mu[:, a - 1] * dec.lams ** n)
+            rel = abs(got - v[0]) / max(mpmath.mpf(1), abs(v[0]))
+            if rel > 1e-20:
+                first = (n - 1, float(rel))
+                break
+    assert first is not None
+    assert (out["exact_through"], out["remainder_past_degree"]) == first
+    assert out["exact_through"] == out["predicted_degree"]
+
+
+def test_extended_sharpness_scan_single_node():
+    g = GeneratorSequence.uniform(1, 0.5, 2.0, seed=3)
+    out = sharpness_scan(g, 1, 1, use_mp=True)
+    assert out["exact_through"] == out["predicted_degree"] == 1
+    assert out["remainder_past_degree"] > 0.0

@@ -10,9 +10,11 @@ from multihess import (GeneratorSequence, InvalidInputError, PoleError,
                        weyl_resolvent)
 import multihess.spectral as spectral
 from multihess.polynomials import eval_type_ii
+from multihess.errors import BracketError
+from multihess.pbf import band_diagonals
 from multihess.spectral import (_BISECT_PASSES, _MP_DPS, _band,
-                                _bootstrap_roots, _char, _mp_polish,
-                                _mp_roots, _multisect)
+                                _bootstrap_roots, _certified, _char,
+                                _mp_polish, _mp_roots, _multisect)
 
 
 def test_golden_tridiagonal_spectrum():
@@ -253,3 +255,49 @@ def test_extended_digits_cover_entries_beyond_double_range():
     assert not np.isfinite(dec.W.astype(float)).all()
     assert dec.dps > 400
     assert max(dec.biorthogonality_residuals()) < 1e-20
+
+
+@pytest.mark.parametrize("seed,N", [(3, 40), (4, 40), (10, 40), (12, 40),
+                                    (35, 40), (36, 40), (54, 40), (59, 40),
+                                    (2, 60)])
+def test_certificate_catches_wrong_bootstrap_spectra(seed, N):
+    # the bootstrap moves an interior root onto a neighbour here (Σλ
+    # misses tr T by about 1e-3); the certificate sends the solve down the
+    # ladder.  p = 1 is symmetrizable, so eigvalsh of the symmetric
+    # tridiagonal with off-diagonals sqrt(T[i+1, i]) is an accurate
+    # reference; one instance is also checked against _mp_roots.
+    g = GeneratorSequence.uniform(1, 0.5, 2.0, seed=seed)
+    with pytest.raises(BracketError):
+        _bootstrap_roots(g, N)
+    band = band_diagonals(g, N)
+    off = np.sqrt(band[1])
+    ref = np.linalg.eigvalsh(np.diag(band[0]) + np.diag(off, 1)
+                             + np.diag(off, -1))
+    lams = eigenvalues(g, N)[::-1]
+    assert np.abs(lams - ref).max() <= 1e-12 * ref[-1]
+    if seed == 3:
+        mp = np.array([float(v) for v in _mp_roots(g, N)])
+        assert np.abs(lams - mp).max() <= 1e-12 * mp[-1]
+
+
+def test_certificate_rejects_nan_collapsed_and_misplaced_roots():
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=5)
+    band, _ = _band(g, 10)
+    roots = eigenvalues(g, 10)[::-1].copy()
+    assert _certified(roots, band)
+    bad = []
+    for k, value in ((0, np.nan), (4, roots[5]), (0, -roots[0]),
+                     (4, 0.5 * (roots[4] + roots[5]))):   # ordered, off-trace
+        r = roots.copy()
+        r[k] = value
+        bad.append(r)
+    assert not any(_certified(r, band) for r in bad)
+
+
+def test_order_zero_extended_precision():
+    g = GeneratorSequence.uniform(1, 0.5, 2.0, seed=3)
+    t00 = band_diagonals(g, 0)[0][0]
+    lams = eigenvalues(g, 0, use_mp=True)
+    assert lams.size == 1 and float(lams[0]) == t00
+    dec = decompose(g, 0, use_mp=True)
+    assert float(dec.lams[0]) == t00 and float(dec.mu[0, 0]) == 1.0
