@@ -3,7 +3,7 @@ bidiagonal factorization, and the Markov chains they generate."""
 
 __version__ = "1.0.0"
 
-from .errors import (BracketError, ConfigError, FactorizationError,
+from .errors import (ConfigError, FactorizationError,
                      IllConditionedSpectrumError, InsufficientDataError,
                      InvalidGeneratorError, InvalidInputError,
                      MultihessError, NormalizationError, NumericRangeError,

@@ -21,15 +21,6 @@ class PreconditionError(MultihessError):
     """An operation was called outside its documented domain."""
 
 
-class BracketError(MultihessError):
-    """Root bracketing lost a sign change during the eigenvalue bootstrap."""
-
-    def __init__(self, message, level=None, interval=None):
-        super().__init__(message)
-        self.level = level
-        self.interval = interval
-
-
 class IllConditionedSpectrumError(MultihessError):
     """A derivative at an eigenvalue underflowed; weights are unreliable."""
 

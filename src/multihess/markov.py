@@ -113,8 +113,13 @@ def km_power(dec: SpectralDecomposition, chain: FiniteChain, n: int) -> np.ndarr
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     with dec.workprec():
-        d = (dec.lams / chain.lam) ** n
-        core = (dec.U * d) @ dec.W
+        Ud = dec.U * (dec.lams / chain.lam) ** n
+        if dec.use_mp:      # one exact dot per entry, rounded once
+            import mpmath
+            core = np.array([[mpmath.fdot(r, c) for c in dec.W.T]
+                             for r in Ud], dtype=object)
+        else:
+            core = Ud @ dec.W
         if chain.kind == "type_i":
             core = core.T
         v = chain.weights

@@ -18,13 +18,10 @@ from .pbf import InitialConditionData, band_diagonals
 
 def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False):
     """The entries of T^[order] the recurrences read: band[j][i] =
-    T[i+j, i] for j = 0..p, as Python floats or mpf (the superdiagonal
-    is 1 and every other entry 0)."""
-    band = [d.tolist() for d in band_diagonals(gen, order)]
-    if use_mp:
-        import mpmath
-        band = [[mpmath.mpf(v) for v in d] for d in band]
-    return band
+    T[i+j, i] for j = 0..p, as Python floats, or as mpf built from the
+    alphas at the working precision (the superdiagonal is 1 and every
+    other entry 0)."""
+    return [d.tolist() for d in band_diagonals(gen, order, use_mp)]
 
 
 def _as_points(x, use_mp: bool):

@@ -128,8 +128,8 @@ def sharpness_scan(gen: GeneratorSequence, a: int, nodes: int,
     exact_through = -1
     first_remainder = 0.0
     M = minimal_truncation(gen.p, a, degree + extra)   # one moment chain
-    band = _diagonals(gen, M, True)
     with dec.workprec():
+        band = _diagonals(gen, M, True)
         v = [mpmath.mpf(x) for x in init.embedded_vector(a, M + 1)]
         for n in range(degree + extra + 1):
             if n:

@@ -1,11 +1,13 @@
 """Spectra of the truncations and the discrete measures they carry.
 
-Eigenvalues are found by a level-by-level bootstrap: the roots of each
-characteristic polynomial strictly interlace those of the previous level,
-giving guaranteed sign-change brackets for bisection, finished with a few
-safeguarded Newton steps; each evaluation covers the midpoint tree of
-every bracket at once (multisection) on the band diagonals of T.  A dense
-solver is kept as a fallback and as an independent cross-check in the tests.
+Eigenvalues start from LAPACK on the transpose of T, which is upper
+Hessenberg, so its QR sweeps work on the band itself.  The band is first
+scaled by an exact diagonal similarity to alphas of unit geometric mean.
+A few Newton steps on the band recurrence polish the start, and a
+certificate accepts it: positive, strictly increasing roots that sum to
+the trace, with one sign change of the characteristic polynomial per
+cell of the sorted roots.  Otherwise a high-precision polynomial solver
+takes over.
 """
 
 from __future__ import annotations
@@ -14,36 +16,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketError, IllConditionedSpectrumError,
-                     InvalidInputError, PoleError)
+from .errors import IllConditionedSpectrumError, InvalidInputError, PoleError
 from .generator import GeneratorSequence
 from .pbf import (InitialConditionData, assemble_truncation, band_diagonals,
                   initial_conditions)
 from .polynomials import (_diagonals, eval_second_kind, eval_truncated,
                           eval_type_ii)
 
-_BISECT_PASSES = 24
-_TREE_DEPTH = 4        # halvings per evaluation: 15 midpoints per bracket
 _NEWTON_PASSES = 4
 _MP_DPS = 50
 
 
-def _band(gen: GeneratorSequence, N: int):
-    """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
-    for j = 0..p, and the bound max row sum + 1 above its spectrum."""
-    band = band_diagonals(gen, N)
-    rows = np.r_[np.ones(N), 0.0]          # unit superdiagonal; T >= 0
+def _bound(band) -> float:
+    """Max row sum + 1 of the matrix with unit superdiagonal and band
+    band[j][i] = T[i+j, i] >= 0: above its spectrum."""
+    rows = np.r_[np.ones(len(band[0]) - 1), 0.0]
     for j, d in enumerate(band):
         rows[j:] += d
-    return [d.tolist() for d in band], float(rows.max()) + 1.0
+    return float(rows.max()) + 1.0
+
+
+def _band(gen: GeneratorSequence, N: int, shift: int = 0) -> list:
+    """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
+    / 2^(shift (j+1)) for j = 0..p.  With shift k this is the band of
+    T^[N] for the alphas / 2^k, exactly, and that matrix is similar to
+    T^[N] / 2^k by D = diag(2^(k i))."""
+    return [np.ldexp(d, -shift * (j + 1)).tolist()
+            for j, d in enumerate(band_diagonals(gen, N))]
 
 
 def _certified(roots: np.ndarray, band) -> bool:
-    """Whether ascending float roots are positive, strictly increasing
-    and sum to the trace of T within 1e-12 of their sum; NaN fails."""
+    """Whether ascending float roots of B_{N+1} are positive, strictly
+    increasing, sum to the trace of T within 1e-12 of their sum, and are
+    all of them: B_{N+1} alternates in sign over 0, their N midpoints and
+    the _bound, so each of the N+1 cells holds exactly one root.  NaN
+    fails."""
     total = roots.sum()
-    return bool(roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)
-                and abs(total - sum(band[0])) <= 1e-12 * total)
+    if not (roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)
+            and abs(total - sum(band[0])) <= 1e-12 * total):
+        return False
+    cuts = np.concatenate(([0.0], 0.5 * (roots[:-1] + roots[1:]),
+                           [_bound(band)]))
+    signs = np.sign(_char(band, roots.size, cuts))
+    return bool(np.all(signs[:-1] * signs[1:] < 0.0))
 
 
 def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
@@ -66,148 +81,26 @@ def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
     return hist[m]
 
 
-def _multisect(band, m: int, lo, hi, slo):
-    """_BISECT_PASSES sign-rule halvings of the brackets [lo, hi].
+def _start_roots(gen: GeneratorSequence, N: int):
+    """Ascending roots of B_{N+1} in double precision, or None when they
+    fail _certified.
 
-    Each evaluation forms every bracket's midpoint tree with the same
-    0.5 * (lo + hi) operations and walks it with the same rule (move
-    right while the sign matches slo), so the brackets end bit for bit
-    where sequential halving leaves them."""
-    width = 1 << _TREE_DEPTH
-    halves = [width >> d for d in range(1, _TREE_DEPTH + 1)]
-    rows = np.arange(lo.size)
-    for _ in range(_BISECT_PASSES // _TREE_DEPTH):
-        grid = np.empty((lo.size, width + 1))
-        grid[:, 0], grid[:, width] = lo, hi
-        for h in halves:
-            grid[:, h:width:2 * h] = 0.5 * (grid[:, 0:width - h:2 * h]
-                                            + grid[:, 2 * h::2 * h])
-        f = _char(band, m, grid[:, 1:width].ravel())
-        right = np.sign(f).reshape(lo.size, width - 1) == slo[:, None]
-        # walk down the tree, keeping the bracket [grid[a], grid[a + 2h]]
-        a = np.zeros(lo.size, dtype=int)
-        for h in halves:
-            a += h * right[rows, a + h - 1]
-        lo, hi = grid[rows, a], grid[rows, a + 1]
-    return lo, hi
-
-
-def _rescue_bracket(band, m, a, b):
-    """Recover a sign-change sub-bracket of [a, b] by interior sampling.
-
-    A bracket endpoint that happens to lie within roundoff of a root of
-    the *next* level's polynomial evaluates to pure noise there, so the
-    endpoint sign test can miss a genuine interior crossing.  Interior
-    values are O(1)-reliable; if they reveal a crossing, return the
-    sub-bracket and the sign at its left end, otherwise report that the
-    root really sits at an endpoint (the collapsed case).
-    """
-    eps = np.spacing(max(abs(a), abs(b)))
-    if not (b > a) or (b - a) <= 4.0 * eps:
-        return None
-    pts = np.linspace(a, b, 14)
-    sg = np.sign(_char(band, m, pts))
-    for j in range(1, pts.size - 1):
-        if sg[j] == 0.0:
-            return pts[j], pts[j], sg[j]
-    changes = [j for j in range(pts.size - 1) if sg[j] * sg[j + 1] < 0.0]
-    keep = []
-    for j in changes:
-        if j in (0, pts.size - 2):
-            # a crossing against an endpoint may only reflect a root of
-            # this level sitting within roundoff of that endpoint, which
-            # belongs to the neighboring bracket; keep the crossing only
-            # when the Newton estimate from the endpoint lands clearly
-            # inside
-            k = 0 if j == 0 else pts.size - 1
-            fv, dfv = _char(band, m, pts[k:k + 1], slope=True)[:, 0]
-            if dfv == 0.0 or abs(fv / dfv) <= 8.0 * eps:
-                continue
-        keep.append(j)
-    if not keep:
-        return None
-    j = keep[0]
-    return pts[j], pts[j + 1], sg[j]
-
-
-def _next_level(band, m: int, prev: np.ndarray, ub: float) -> np.ndarray:
-    """Ascending roots of B_m, one per bracket of (0, ub) cut at the
-    ascending roots prev of B_{m-1}, which they strictly interlace.
-
-    A bracket whose endpoint sign test degenerates (a new root within
-    roundoff of an old one) is rescued by interior sampling or else starts
-    Newton from its endpoint with the smaller residual; more than
-    m // 4 + 1 such brackets raise BracketError."""
-    endpoints = np.concatenate(([0.0], prev, [ub]))
-    fend = _char(band, m, endpoints)
-    s = np.sign(fend)
-    valid = s[:-1] * s[1:] < 0.0
-    if np.count_nonzero(~valid) > m // 4 + 1:
-        i = int(np.argmin(valid))
-        raise BracketError("interlacing bracket structure lost",
-                           level=m - 1,
-                           interval=(endpoints[i], endpoints[i + 1]))
-    alo, ahi = endpoints[:-1], endpoints[1:]
-    collapsed = np.where(np.abs(fend[:-1]) <= np.abs(fend[1:]), alo, ahi)
-    lo = np.where(valid, alo, collapsed)
-    hi = np.where(valid, ahi, collapsed)
-    slo = s[:-1]
-    for i in np.flatnonzero(~valid):
-        sub = _rescue_bracket(band, m, alo[i], ahi[i])
-        if sub is not None:
-            lo[i], hi[i], slo[i] = sub
-    lo, hi = _multisect(band, m, lo, hi, slo)
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_PASSES):
-        f, df = _char(band, m, x, slope=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(df != 0.0, f / df, 0.0)
-        x = np.clip(x - step, alo, ahi)
-    return np.sort(x)
-
-
-def _bootstrap_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
-    """Ascending roots of B_{N+1}, one _next_level per level.
-
-    Raises BracketError when a level loses its bracket structure or the
-    final roots fail _certified (collapsed or misplaced roots).
-    """
-    band, ub = _band(gen, N)
-    roots = np.array([band[0][0]])
-    for m in range(2, N + 2):
-        roots = _next_level(band, m, roots, ub)
-        if m <= N:
-            # Two intermediate roots may coincide to machine precision
-            # even though later levels separate again; keep the walk
-            # strictly ordered by the smallest possible nudge.  The final
-            # level is certified below and triggers a fallback if the
-            # separation was never real.
-            for i in range(1, roots.size):
-                if roots[i] <= roots[i - 1]:
-                    roots[i] = np.nextafter(roots[i - 1], np.inf)
-    if not _certified(roots, band):
-        raise BracketError("bootstrap spectrum failed its certificate",
-                           level=N + 1)
-    return roots
-
-
-def _dense_roots(gen: GeneratorSequence, N: int) -> np.ndarray:
-    """Fallback: dense eigenvalues, Newton-polished on the recurrence;
-    raises IllConditionedSpectrumError unless _certified."""
-    ev = np.linalg.eigvals(assemble_truncation(gen, N).dense)
-    if np.abs(ev.imag).max() > 1e-8 * max(1.0, np.abs(ev.real).max()):
-        raise IllConditionedSpectrumError(
-            "dense solver returned a significantly complex eigenvalue")
-    band, _ = _band(gen, N)
-    x = np.sort(ev.real)
+    LAPACK runs on the transpose of the scaled band of _band, with the
+    shift that rounds log2 of the alphas' geometric mean, so the start
+    does not depend on the alphas' scale; Newton steps on the same band
+    finish it and the roots are scaled back exactly."""
+    shift = int(np.rint(np.log2(gen.alphas(gen.required_alphas(N))).mean()))
+    band = _band(gen, N, shift)
+    Tt = np.diag(np.ones(N), -1)                # T^T[i, i+j] = T[i+j, i]
+    for j, d in enumerate(band):
+        Tt[np.arange(len(d)), np.arange(j, j + len(d))] = d
+    x = np.sort(np.linalg.eigvals(Tt).real)
     for _ in range(_NEWTON_PASSES):
         f, df = _char(band, N + 1, x, slope=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x - np.where(df != 0.0, f / df, 0.0)
     x = np.sort(x)
-    if not _certified(x, band):
-        raise IllConditionedSpectrumError("dense spectrum failed its certificate")
-    return x
+    return np.ldexp(x, shift) if _certified(x, band) else None
 
 
 def _mp_char_coeffs(gen: GeneratorSequence, N: int):
@@ -285,13 +178,7 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
     """
     if N < 0:
         raise InvalidInputError("truncation order must be >= 0")
-    try:
-        roots = _bootstrap_roots(gen, N)
-    except BracketError:
-        try:
-            roots = _dense_roots(gen, N)
-        except IllConditionedSpectrumError:
-            roots = None
+    roots = _start_roots(gen, N)
     if roots is None:
         asc = _mp_roots(gen, N)
         if not use_mp:
@@ -317,23 +204,10 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
 
 
 def eigenvalue_pair(gen: GeneratorSequence, N: int):
-    """Spectra of the truncations of orders N-1 and N, both descending.
-
-    Cheaper than two separate calls: the order-N spectrum is one more
-    _next_level on top of the order N-1 bootstrap; when either level
-    degenerates both come from eigenvalues().  Used to check interlacing.
-    """
+    """Spectra of the truncations of orders N-1 and N, both descending."""
     if N < 1:
         raise InvalidInputError("order must be >= 1 for an eigenvalue pair")
-    try:
-        prev = _bootstrap_roots(gen, N - 1)
-        band, ub = _band(gen, N)
-        last = _next_level(band, N + 1, prev, ub)
-        if not _certified(last, band):     # prev is certified
-            raise BracketError("bootstrap level failed its certificate")
-        return prev[::-1].copy(), last[::-1].copy()
-    except BracketError:
-        return eigenvalues(gen, N - 1), eigenvalues(gen, N)
+    return eigenvalues(gen, N - 1), eigenvalues(gen, N)
 
 
 def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
@@ -342,9 +216,11 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
     Strictness can fail to be representable in double precision: near the
     edges of the support the adjacent-level eigenvalues converge
     geometrically in N and their true gap drops below one ulp around
-    N ~ 30.  Float-identical pairs are therefore re-refined with a few
-    extended-precision Newton steps on the two characteristic polynomials
-    and counted as strict when the refined values are ordered.
+    N ~ 30, so either of the two solves can put a root an ulp on the
+    wrong side.  Every pair within 2 ulps, in either order, is re-refined
+    with extended-precision Newton steps on the two characteristic
+    polynomials and counted as strict when the refined values are
+    ordered; sub_ulp_ties counts those pairs.
     """
     import mpmath
     prev, cur = eigenvalue_pair(gen, N)
@@ -360,9 +236,10 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
                     (ca[:-1], pa, N, N - 1),   # cur root below prev root
                     (pa, ca[1:], N - 1, N)):   # prev root below next cur
                 for a, b in zip(lo, hi):
-                    if a < b:
+                    ulps = (b - a) / np.spacing(max(a, b))
+                    if ulps > 2.0:
                         continue
-                    if a > b:
+                    if ulps < -2.0:
                         strict = False
                         break
                     ties += 1

@@ -189,8 +189,8 @@ def test_verify_extended_sizes_digits_by_both_products(
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_verify_never_ok_on_overflowing_input(precision, tmp_path, capsys,
                                               monkeypatch):
-    # the double bootstrap overflows to a NaN spectrum here; verify used
-    # to print "ok": true on it
+    # T's entries near 1e80 overflow the double tables and the moment
+    # check here; verify once printed "ok": true on a NaN spectrum
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({"p": 1, "alphas": {
         "kind": "uniform", "low": 1e40, "high": 2e40, "seed": 3}}))

@@ -2,13 +2,13 @@
 
 Each case runs one `multihess.cli.main` request and compares the SHA-256
 of its stdout (followed by its CSV file, when it writes one) with a digest
-recorded from the program before the band-recurrence kernel and the
-multisection of the interlacing bootstrap (the `simulate` cases: before
-the windowed Monte Carlo step; the last three extended cases: before the
-Newton polish stopped at convergence).  Changes meant to keep every
-float operation must leave these digests alone; a change that
-deliberately alters an output (a new field, the version string, another
-root route) has to record them again.
+recorded from the program whose double spectrum starts from LAPACK on the
+transpose of T and whose extended band is built from the alphas in mpf
+(`verify_extended_p3`, which those changes left alone: before the Newton
+polish stopped at convergence).  Changes meant to keep every float
+operation must leave these digests alone; a change that deliberately
+alters an output (a new field, the version string, another root route)
+has to record them again.
 """
 
 import hashlib
@@ -21,54 +21,54 @@ from multihess.cli import EXIT_OK, main
 # (name, p, uniform seed, argv after --input, precision, digest)
 CASES = [
     ("spectrum_p1", 1, 11, ["spectrum", "--order", "20"], None,
-     "28a6584e707e9ca78b8050c950f01451370714fda946507fe9ee83b9ca511277"),
+     "f4ef3d34b4f671acedba6cbd24c5fc764724d3666b6e98e1052198b2f925de4a"),
     ("spectrum_p2", 2, 12, ["spectrum", "--order", "30"], None,
-     "e0b41441990fdbf8eaba194c3032efe12b0a6354aa770680ef95b10c4da41e97"),
+     "17c580997a7a70e60b5a61d9bf5d7b7fb32adc6b77ed27a7b57714d8f9c93aad"),
     ("spectrum_p3", 3, 13, ["spectrum", "--order", "35"], None,
-     "4b1cf5879f3660a3b56bccd750e65d4930afd4b45818ef286d1b6570aab61ccd"),
+     "1ab287b453adc41851aa1f8a798b024c5b35f14728affe24847b6e6bdd88dfac"),
     ("spectrum_p2_csv", 2, 14, ["spectrum", "--order", "16", "--csv"], None,
-     "16206dd14501780159a4e23278553ab036383b7d45edbbe7f427d5862c10ecbd"),
+     "6eda497404f74bdd553df902cbe31ed63ccb28b82c55f738b9a8d360245a1d43"),
     ("quadrature_p1", 1, 15,
      ["quadrature", "--measure", "1", "--nodes", "14", "--check"], None,
-     "64523d9741411401b240d0ee8134957433a092eb08230d7d1182b3561dcb20bd"),
+     "c5c2c50f2cb7b6953d6e4c21b1cb1be565b23c63ec6489bc1eb6f11c4a25957a"),
     ("quadrature_p2", 2, 16,
      ["quadrature", "--measure", "2", "--nodes", "17", "--check"], None,
-     "66a8e724ce1cbf8f693c1549cc7d9ac216a78d3e4917c69ff2e98e059619c695"),
+     "f9cca00ea298161bcdc469cbc78585d63250ccf6771967f7387ea4dbc6c10806"),
     ("quadrature_p3", 3, 17,
      ["quadrature", "--measure", "3", "--nodes", "20", "--check"], None,
-     "d065db090f28b8d3af9b22a0304dd527cf7fe7a950a173786252df22b00eca2f"),
+     "bf379f982bd27540e6e162994c5424f242dbdbbb04c454f8c933181811706440"),
     ("chain_factors", 2, 18,
      ["chain", "--order", "20", "--kind", "type_i", "--factors", "--csv"],
      None,
-     "8c1f456993fda47229ce6568a436f49b3954631d13d8584b66aadebab4ea958c"),
+     "ed9e9a66e548296d628a067673b14d270b9d1129f2d187ba76101b5ca48f50ea"),
     ("chain_p3", 3, 19, ["chain", "--order", "25", "--state", "12"], None,
-     "0b10de3b98ab7ad12579579295fda16acfbe79549e6975b7b43025c38764b3ea"),
+     "2ac8a6d120fd363bc60a09fc0e1d962042730427aeb64bf0db14f5077c76713d"),
     ("spectrum_extended_p2", 2, 20, ["spectrum", "--order", "12"],
      "extended",
-     "6609b76e6ec5d1076e96f1391ee44bb9acd9d024258ee1efb2cfd63fd2abb7ea"),
+     "4575b16a5a6e44df5f863e48f7e0c769dd75cff1266f39d1503aeca13862cdce"),
     ("simulate_p2_type_ii", 2, 21,
      ["simulate", "--order", "15", "--start", "4", "--steps", "9",
       "--trials", "70000", "--seed", "123"], None,
-     "274344ea24ff70a2fb79aef2a1b35f44c660ef3cdcd8835cbdff2ea78a22dcd5"),
+     "eedfb5c519ab7f422e9b10905bda6c5f155c0ac9ff408233c80101756aba191c"),
     ("simulate_p2_type_i", 2, 22,
      ["simulate", "--order", "18", "--kind", "type_i", "--start", "11",
       "--steps", "12", "--trials", "5000", "--seed", "7"], None,
-     "057ad94bfb17c12b74336817e053b225c3f01e9090074bd87238ae25b2f1fb2f"),
+     "ed8198f19847326a08ec4205ea3d1b51f0096b6be549052e710912fcf144a3da"),
     ("simulate_p3_type_ii", 3, 23,
      ["simulate", "--order", "25", "--start", "2", "--steps", "12",
       "--trials", "5000", "--seed", "2024"], None,
-     "5acfc3601d25af59f14eb26d47b21e9c9bf177ce1c63f8a13441cb07833238a9"),
+     "c5b9ac6149d62807395a10a963a9657a7bdc555c617d65000cd492b6be92aff1"),
     ("simulate_p3_type_i", 3, 24,
      ["simulate", "--order", "20", "--kind", "type_i", "--start", "20",
       "--steps", "15", "--trials", "5000", "--seed", "99"], None,
-     "b6e1764491c434d4e165d3d316f0229ce34fcda33fa63fc2131f56df4334da83"),
+     "e749180f4eece6faf25f2346b91b3a6f147781459612807e6482a006cb82402f"),
     ("verify_extended_p3", 3, 25, ["verify", "--order", "25"], "extended",
      "0d67fa30a314348c1f5ad7129e0955b8d9f49c6b3133db204a91658bc8464196"),
     ("spectrum_extended_p3", 3, 26, ["spectrum", "--order", "25"],
      "extended",
-     "49c3a55051040a07ec7789885ba6d8155d1d0ed5031fece188def3aa6140fd6f"),
+     "7258442ea01542a27648629be1e21830d2c32064bf7e1c12b84632580c52a30d"),
     ("chain_extended_p2", 2, 27, ["chain", "--order", "20"], "extended",
-     "2804fdf31d9acd0a38b374871b81f22648525724c29ca71ef7244454a29f6428"),
+     "a52223979adff6c4645d6f88f36980e4d362bc606a6353208581b0a942d2fa7a"),
 ]
 
 

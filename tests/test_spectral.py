@@ -5,16 +5,14 @@ import pytest
 
 from multihess import (GeneratorSequence, InvalidInputError, PoleError,
                        assemble_truncation, decompose, eigenvalue_pair,
-                       eigenvalues, moments_matvec,
+                       eigenvalues, interlacing_check, moments_matvec,
                        weyl_partial_fractions, weyl_rational,
                        weyl_resolvent)
 import multihess.spectral as spectral
 from multihess.polynomials import eval_type_ii
-from multihess.errors import BracketError
 from multihess.pbf import band_diagonals
-from multihess.spectral import (_BISECT_PASSES, _MP_DPS, _band,
-                                _bootstrap_roots, _certified, _char,
-                                _mp_polish, _mp_roots, _multisect)
+from multihess.spectral import (_MP_DPS, _band, _bound, _certified, _char,
+                                _mp_polish, _mp_roots)
 
 
 def test_golden_tridiagonal_spectrum():
@@ -142,7 +140,8 @@ def test_band_kernel_matches_eval_type_ii_bitwise(p):
     # reproduce the lower-order evaluator bit for bit at every level.
     g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=40 + p)
     N = 25
-    band, ub = _band(g, N)
+    band = _band(g, N)
+    ub = _bound(band)
     x = np.concatenate((np.linspace(0.0, ub, 41), eigenvalues(g, N)))
     for m in (1, 2, p + 1, 13, N + 1):
         B, dB = eval_type_ii(g, m - 1, x, derivative=True)
@@ -150,32 +149,6 @@ def test_band_kernel_matches_eval_type_ii_bitwise(p):
         got = _char(band, m, x, slope=True)
         assert got.shape == (2, x.size)
         assert got.tobytes() == np.stack((B[m], dB[m])).tobytes()
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_multisection_equals_sequential_halving(p):
-    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=50 + p)
-    N = 20
-    m = N + 1
-    band, ub = _band(g, N)
-    prev = _bootstrap_roots(g, N - 1)
-    rng = np.random.default_rng(p)
-    # the interlacing brackets of the last level, a collapsed bracket and
-    # random brackets with random sign labels, which need not hold a root
-    ends = rng.uniform(0.0, ub, size=(2, 12))
-    lo = np.concatenate(([0.0], prev, [prev[3]], ends.min(axis=0)))
-    hi = np.concatenate((prev, [ub], [prev[3]], ends.max(axis=0)))
-    slo = np.sign(eval_type_ii(g, N, lo)[m])
-    slo[-12:] = rng.choice([-1.0, 1.0], size=12)
-    want_lo, want_hi = lo.copy(), hi.copy()
-    for _ in range(_BISECT_PASSES):
-        mid = 0.5 * (want_lo + want_hi)
-        right = np.sign(eval_type_ii(g, N, mid)[m]) == slo
-        want_lo = np.where(right, mid, want_lo)
-        want_hi = np.where(right, want_hi, mid)
-    got_lo, got_hi = _multisect(band, m, lo, hi, slo)
-    assert got_lo.tobytes() == want_lo.tobytes()
-    assert got_hi.tobytes() == want_hi.tobytes()
 
 
 @pytest.mark.parametrize("p,N", [(1, 20), (2, 30), (3, 35)])
@@ -194,7 +167,7 @@ def test_mp_polish_matches_six_newton_steps(monkeypatch):
     import mpmath
     g = GeneratorSequence.uniform(3, 0.5, 2.0, seed=26)
     N = 25
-    start = _bootstrap_roots(g, N)
+    start = eigenvalues(g, N)
     with mpmath.workdps(_MP_DPS):
         want = np.array([mpmath.mpf(v) for v in start], dtype=object)
         for _ in range(6):
@@ -261,14 +234,12 @@ def test_extended_digits_cover_entries_beyond_double_range():
                                     (35, 40), (36, 40), (54, 40), (59, 40),
                                     (2, 60)])
 def test_certificate_catches_wrong_bootstrap_spectra(seed, N):
-    # the bootstrap moves an interior root onto a neighbour here (Σλ
-    # misses tr T by about 1e-3); the certificate sends the solve down the
-    # ladder.  p = 1 is symmetrizable, so eigvalsh of the symmetric
-    # tridiagonal with off-diagonals sqrt(T[i+1, i]) is an accurate
-    # reference; one instance is also checked against _mp_roots.
+    # the interlacing bootstrap that preceded the LAPACK start moved an
+    # interior root onto a neighbour here (Σλ missed tr T by about 1e-3).
+    # p = 1 is symmetrizable, so eigvalsh of the symmetric tridiagonal
+    # with off-diagonals sqrt(T[i+1, i]) is an accurate reference; one
+    # instance is also checked against _mp_roots.
     g = GeneratorSequence.uniform(1, 0.5, 2.0, seed=seed)
-    with pytest.raises(BracketError):
-        _bootstrap_roots(g, N)
     band = band_diagonals(g, N)
     off = np.sqrt(band[1])
     ref = np.linalg.eigvalsh(np.diag(band[0]) + np.diag(off, 1)
@@ -280,9 +251,88 @@ def test_certificate_catches_wrong_bootstrap_spectra(seed, N):
         assert np.abs(lams - mp).max() <= 1e-12 * mp[-1]
 
 
+@pytest.mark.parametrize("p,seed,N", [(1, 1174, 55), (2, 1298, 56)])
+def test_interlacing_near_ties_are_refined(p, seed, N):
+    # the two independent solves put a level-N root one ulp on the wrong
+    # side of a level-(N-1) root near the top of the spectrum; every pair
+    # within 2 ulps is refined at 40 digits, where the pair is ordered
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=seed)
+    out = interlacing_check(g, N)
+    assert out["strict"] and out["sub_ulp_ties"] >= 1
+
+
+def test_eigenvalues_of_huge_alphas():
+    # T has entries near 1e80 and B_11 near 1e880 on the unscaled band;
+    # the start runs on the band scaled to alphas near 1
+    g = GeneratorSequence.uniform(1, 1e40, 2e40, seed=3)
+    band = band_diagonals(g, 10)
+    off = np.sqrt(band[1])
+    ref = np.linalg.eigvalsh(np.diag(band[0]) + np.diag(off, 1)
+                             + np.diag(off, -1))[::-1]
+    lams = eigenvalues(g, 10)
+    assert np.abs(lams - ref).max() <= 1e-12 * ref[0]
+
+
+@pytest.mark.parametrize("low,high", [(1e-20, 2e-20), (0.5, 2.0),
+                                      (1e40, 2e40)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_start_certifies_at_any_alpha_scale(p, low, high):
+    # the start alone, without the high-precision fallback
+    for N in (10, 25, 40):
+        g = GeneratorSequence.uniform(p, low, high, seed=3)
+        assert spectral._start_roots(g, N) is not None
+
+
+def _exact_spectrum(g, N, start, dps=80):
+    """Eigenvalues of the exact product of the truncated factors: the
+    dense product L_1 ... L_p U in mpf at dps digits, then Newton steps
+    on the determinant recurrence of that Hessenberg matrix."""
+    import mpmath
+    p, n, step = g.p, N + 1, g.p + 1
+    with mpmath.workdps(dps):
+        a = [None] + [mpmath.mpf(v) for v in g.alphas(g.required_alphas(N))]
+        eye = [[mpmath.mpf(int(i == j)) for j in range(n)] for i in range(n)]
+        T = np.array(eye, dtype=object)
+        for i in range(n):
+            T[i, i] = a[1 + i * step]
+            if i < N:
+                T[i, i + 1] = mpmath.mpf(1)
+        for k in range(p, 0, -1):
+            L = np.array(eye, dtype=object)
+            for i in range(N):
+                L[i + 1, i] = a[k + 1 + i * step]
+            T = L @ T
+        x = np.array([mpmath.mpf(v) for v in start], dtype=object)
+        for _ in range(6):
+            B, dB = [x * 0 + 1], [x * 0]
+            for m in range(n):
+                acc, dacc = (x - T[m, m]) * B[m], B[m] + (x - T[m, m]) * dB[m]
+                for j in range(1, min(p, m) + 1):
+                    acc = acc - T[m, m - j] * B[m - j]
+                    dacc = dacc - T[m, m - j] * dB[m - j]
+                B.append(acc)
+                dB.append(dacc)
+            x = x - B[n] / dB[n]
+    return x
+
+
+@pytest.mark.parametrize("p,seed,N", [(3, 5, 25), (3, 2, 35), (2, 42, 40)])
+def test_extended_eigenvalues_match_exact_factor_product(p, seed, N):
+    # the extended band is built from the alphas, not rounded to double
+    # first: rounding T's entries is no small relative perturbation of
+    # its smallest eigenvalues
+    import mpmath
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=seed)
+    lams = eigenvalues(g, N, use_mp=True)
+    ref = _exact_spectrum(g, N, eigenvalues(g, N))
+    with mpmath.workdps(80):
+        worst = max(abs(a - b) / b for a, b in zip(lams, ref))
+    assert worst <= mpmath.mpf(10) ** -30
+
+
 def test_certificate_rejects_nan_collapsed_and_misplaced_roots():
     g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=5)
-    band, _ = _band(g, 10)
+    band = _band(g, 10)
     roots = eigenvalues(g, 10)[::-1].copy()
     assert _certified(roots, band)
     bad = []
@@ -292,6 +342,23 @@ def test_certificate_rejects_nan_collapsed_and_misplaced_roots():
         r[k] = value
         bad.append(r)
     assert not any(_certified(r, band) for r in bad)
+
+
+def test_certificate_counts_roots():
+    # two roots in the cell of the smallest two and none near the
+    # smallest, with the top root moved to keep the trace: ordered,
+    # positive and on the trace, but B_{N+1} keeps its sign over the
+    # first cell
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=5)
+    band = _band(g, 10)
+    roots = eigenvalues(g, 10)[::-1].copy()
+    gap = roots[2] - roots[1]
+    bad = roots.copy()
+    bad[0], bad[1] = roots[1] - 0.1 * gap, roots[1] + 0.3 * gap
+    bad[-1] -= bad.sum() - roots.sum()
+    assert np.all(np.diff(bad) > 0.0)
+    assert abs(bad.sum() - sum(band[0])) <= 1e-12 * bad.sum()
+    assert not _certified(bad, band)
 
 
 def test_order_zero_extended_precision():
