@@ -28,7 +28,7 @@ from .pbf import initial_conditions
 from .quadrature import exactness_profile, gauss_rule
 from .serialize import (factors_to_csv, matrix_to_csv, spectrum_to_csv,
                         to_json)
-from .spectral import decompose, moments_matvec
+from .spectral import _shift, decompose, moments_matvec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +56,7 @@ def _precision() -> bool:
 
 def _decompose(gen, N: int, **kw):
     """decompose(), refusing orders too low to carry p measures."""
-    if 0 <= N < gen.p - 1:
+    if N < gen.p - 1:
         raise ConfigError(f"order {N} is below p - 1 = {gen.p - 1}: "
                           f"{gen.p} measures need at least {gen.p} nodes")
     return decompose(gen, N, **kw)
@@ -106,10 +106,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_quadrature(args) -> int:
     gen = _load_generator(args.input)
+    if args.nodes < gen.p:
+        raise ConfigError(f"a rule for {gen.p} measures needs at least "
+                          f"{gen.p} nodes")
     init = initial_conditions(gen)
-    # one solve for the rule and its check; gauss_rule reports too few nodes
-    dec = (decompose(gen, args.nodes - 1, init=init, use_mp=_precision())
-           if args.nodes >= gen.p else None)
+    # one solve for the rule and its check
+    dec = decompose(gen, args.nodes - 1, init=init, use_mp=_precision())
     rule = gauss_rule(gen, args.measure, args.nodes, init=init, dec=dec)
     doc = {
         "command": "quadrature",
@@ -206,11 +208,12 @@ def _cmd_verify(args) -> int:
         failures.append("spectrum is not positive and strictly ordered")
     if not mu.min() > 0.0:
         failures.append("a Christoffel weight is not positive")
-    order = min(2 * N, 10)
-    mm = moments_matvec(gen, N, order, init)
+    # moments of T / 2^shift, which stay in double range for large T
+    order, shift = min(2 * N, 10), _shift(gen, N)
+    mm = moments_matvec(gen, N, order, init, shift)
     for a in range(1, gen.p + 1):
         for n in range(order + 1):
-            spec = float(np.dot(mu[:, a - 1], lams ** n))
+            spec = float(np.dot(mu[:, a - 1], np.ldexp(lams, -shift) ** n))
             scale = max(1.0, abs(mm[n, a - 1]))
             if not abs(spec - mm[n, a - 1]) / scale <= args.tolerance:
                 failures.append(f"moment mismatch a={a} n={n}")
@@ -291,6 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "order", 0) < 0:
+            parser.error(f"argument --order: must be >= 0, got {args.order}")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -19,7 +19,8 @@ from .errors import InvalidInputError, NormalizationError
 from .generator import GeneratorSequence
 from .pbf import assemble_truncation, _bidiagonal_factors
 from .polynomials import eval_truncated, eval_type_ii
-from .spectral import SpectralDecomposition, _mp_polish, eigenvalues
+from .spectral import (SpectralDecomposition, _mp_matmul, _mp_polish,
+                       eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,13 @@ def km_power(dec: SpectralDecomposition, chain: FiniteChain, n: int) -> np.ndarr
 
     Reconstructs P^n as the conjugated sum over nodes of
     (lam_k / lam_1)^n times the rank-one products of the right and left
-    polynomial tables, without ever multiplying P by itself.
-    """
+    polynomial tables, without ever multiplying P by itself; extended
+    tables contract exactly, each entry rounded once (_mp_matmul)."""
     if n < 0:
         raise InvalidInputError("step count must be >= 0")
     with dec.workprec():
         Ud = dec.U * (dec.lams / chain.lam) ** n
-        if dec.use_mp:      # one exact dot per entry, rounded once
-            import mpmath
-            core = np.array([[mpmath.fdot(r, c) for c in dec.W.T]
-                             for r in Ud], dtype=object)
-        else:
-            core = Ud @ dec.W
+        core = _mp_matmul(Ud, dec.W) if dec.use_mp else Ud @ dec.W
         if chain.kind == "type_i":
             core = core.T
         v = chain.weights

@@ -53,33 +53,36 @@ def _lower_apply(sub: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_diagonals(gen: GeneratorSequence, N: int, use_mp: bool = False) -> list:
+def band_diagonals(gen: GeneratorSequence, N: int, exact: bool = False):
     """The p+1 band diagonals band[j][i] = T[i+j, i] of T^[N] = L_1 ... L_p U
     in O(pN) (the superdiagonal is 1, every other entry 0), each entry by
     the float operations of the dense product, so it keeps its bits.
-    With use_mp the same operations run on mpf object arrays at the
-    working precision, from the alphas rather than from the float band."""
+    With exact=True they run on Python integers and give (band, e) with
+    T[i+j, i] = band[j][i] 2^(e (j+1)) exactly: every alpha is an integer
+    times 2^e, and an entry of band j sums products of j+1 alphas."""
     if N < 0:
         raise InvalidInputError("truncation order must be >= 0")
     lowers, u_diag = _bidiagonal_factors(gen, N)
-    dtype = object if use_mp else float
-    if use_mp:
-        import mpmath
-        lowers = [[mpmath.mpf(v) for v in sub] for sub in lowers]
-        u_diag = [mpmath.mpf(v) for v in u_diag]
+    dtype = object if exact else float
+    if exact:
+        ratios = [[v.as_integer_ratio() for v in arr.tolist()]
+                  for arr in (*lowers, u_diag)]
+        t = max(d for r in ratios for _, d in r).bit_length() - 1
+        *lowers, u_diag = [[(n << t) // d for n, d in r] for r in ratios]
     rows = np.arange(N + 1) + np.arange(gen.p + 1)[:, None]    # i + j
     band = np.zeros(rows.shape, dtype=dtype)
     band[0] = u_diag
-    above = np.ones((1, N + 1))                                # T[i-1, i]
-    above[0, 0] = 0.0
+    above = np.ones((1, N + 1), dtype=dtype)                   # T[i-1, i]
+    above[0, 0] = 0
     at_row = np.zeros(N + gen.p + 2, dtype=dtype)
     for sub in reversed(lowers):
         # I + diag(sub, -1) adds sub[i+j-1] T[i+j-1, i] to T[i+j, i]
         at_row[1:N + 1] = sub
         band = band + at_row[rows] * np.concatenate((above, band[:-1]))
-    if not (use_mp or np.all(np.isfinite(band))):
+    if not (exact or np.all(np.isfinite(band))):
         raise NumericRangeError("overflow while multiplying bidiagonal factors")
-    return [band[j, :max(N + 1 - j, 0)] for j in range(gen.p + 1)]
+    band = [band[j, :max(N + 1 - j, 0)] for j in range(gen.p + 1)]
+    return (band, -t) if exact else band
 
 
 # Kept cached because the benchmark tracer reads and clears cache_info();

@@ -3,8 +3,11 @@ banded Hessenberg truncation.
 
 All evaluators are vectorized over the evaluation points and accept either
 float arrays or object arrays of mpmath numbers (select with use_mp).
-Products put the array first: mpmath formats a whole object array on its
-right for an error message it discards before numpy's multiply runs.
+With use_mp, B and R come from one recurrence on Python integers over the
+exact band, rounded once per level (_mp_levels).  The other families run
+on mpf object arrays, whose products put the array first: mpmath formats
+a whole object array on its right for an error message it discards before
+numpy's multiply runs.
 """
 
 from __future__ import annotations
@@ -18,29 +21,132 @@ from .pbf import InitialConditionData, band_diagonals
 
 def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False):
     """The entries of T^[order] the recurrences read: band[j][i] =
-    T[i+j, i] for j = 0..p, as Python floats, or as mpf built from the
-    alphas at the working precision (the superdiagonal is 1 and every
-    other entry 0)."""
-    return [d.tolist() for d in band_diagonals(gen, order, use_mp)]
+    T[i+j, i] for j = 0..p, as Python floats, or as mpf rounded once at
+    the working precision from the exact band (the superdiagonal is 1 and
+    every other entry 0)."""
+    if not use_mp:
+        return [d.tolist() for d in band_diagonals(gen, order)]
+    import mpmath
+    band, e = band_diagonals(gen, order, exact=True)
+    return [[mpmath.mpf((v, e * (j + 1))) for v in d]
+            for j, d in enumerate(band)]
 
 
 def _as_points(x, use_mp: bool):
+    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     if use_mp:
         import mpmath
-        arr = np.array([mpmath.mpf(v) if not hasattr(v, "_mpf_") else v
-                        for v in np.atleast_1d(x).ravel()], dtype=object)
-        return arr, np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    return arr, np.isscalar(x) or getattr(x, "ndim", 0) == 0
+        return np.array([v if hasattr(v, "_mpf_") else mpmath.mpf(v)
+                         for v in np.atleast_1d(x).ravel()],
+                        dtype=object), scalar
+    return np.atleast_1d(np.asarray(x, dtype=float)).ravel(), scalar
 
 
-def _zeros(n, m, use_mp):
+def _steps(band, N: int, forward: bool) -> list:
+    """coef[j][s] of the level recurrence v_{s+1} = (x - coef[0][s]) v_s
+    - sum_{j=1..min(p,s)} coef[j][s] v_{s-j}, s = 0..N, on band[j][i] =
+    T[i+j, i].  Forward, coef[j][s] = T[s, s-j], so v_s = B_s; backward,
+    coef[j][s] = T[N-s+j, N-s], so v_s = R[N+1-s]."""
+    return [[0] * j + list(d[:N + 1 - j] if forward else d[N - j::-1])
+            for j, d in enumerate(band)]
+
+
+def _float_levels(x: np.ndarray, coef: list, derivative: bool) -> list:
+    """Levels v_0 = 1 .. v_{N+1} of _steps at the float points x; with
+    derivative, level s is the (2, len(x)) stack of v_s and v_s', and the
+    v_s' row takes the operations of the v_s row, plus v_s."""
+    xd = x - np.array(coef[0])[:, None]         # row s: x - coef[0][s]
+    hist = [np.stack((np.ones_like(x), np.zeros_like(x))) if derivative
+            else np.ones_like(x)]
+    for s in range(len(coef[0])):
+        acc = xd[s] * hist[s]
+        if derivative:
+            acc[1] += hist[s][0]
+        for j in range(1, min(len(coef) - 1, s) + 1):
+            acc -= hist[s - j] * coef[j][s]
+        hist.append(acc)
+    return hist
+
+
+def _levels(gen: GeneratorSequence, N: int, x, derivative: bool,
+            use_mp: bool, forward: bool):
+    """The levels of _steps at x, shape (N+2, len(x)) or (N+2,) for
+    scalar x, and their derivatives (or None)."""
+    pts, scalar = _as_points(x, use_mp)
     if use_mp:
-        import mpmath
-        z = np.empty((n, m), dtype=object)
-        z[:] = mpmath.mpf(0)
-        return z
-    return np.zeros((n, m))
+        band, e = band_diagonals(gen, N, exact=True)
+        V, dV = _mp_levels(pts, _steps(band, N, forward), e, derivative)
+    else:
+        V = np.array(_float_levels(
+            pts, _steps(_diagonals(gen, N), N, forward), derivative))
+        V, dV = (V[:, 0], V[:, 1]) if derivative else (V, None)
+    if scalar:
+        V, dV = V[:, 0], (dV[:, 0] if derivative else None)
+    return V, dV
+
+
+def _mp_levels(pts, coef, e, derivative):
+    """The levels of _steps at the mpf points pts, as mpf object arrays,
+    on the exact band of band_diagonals (band j in units of 2^(e (j+1))).
+    The band and the points become integers over one common binary
+    exponent F, so a level of degree s is an integer times 2^(F s).  Each
+    level is summed exactly from integer products, rounded once to the
+    working precision plus 8 guard bits and stored as (mantissa,
+    exponent); only the stored levels become mpf.  A nan or infinite
+    point gives NaN on every level past v_0."""
+    import mpmath
+    xs = [v._mpf_ for v in pts]
+    F = min([e] + [exp for _, man, exp, _ in xs if man])
+    d0, *cs = [[c << (e - F) * (j + 1) for c in cj]
+               for j, cj in enumerate(coef)]
+    back = [[(j, cs[j - 1][s]) for j in range(1, min(len(cs), s) + 1)]
+            for s in range(len(d0))]
+    bits, mpf = mpmath.mp.prec + 8, mpmath.mpf
+    V = np.full((len(d0) + 1, pts.size), mpmath.nan, dtype=object)
+    V[0] = mpf(1)
+    dV = V * 0 if derivative else None          # 0, then nan
+    for col, (sign, man, exp, bc) in enumerate(xs):
+        if not man and bc:                      # nan, +inf or -inf
+            continue
+        X = (-man if sign else man) << (exp - F) if man else 0
+        a = [X - d for d in d0]
+        v = _int_levels(a, back, None, bits)
+        V[:, col] = [mpf((m, k + F * s)) for s, (m, k) in enumerate(v)]
+        if derivative:
+            dv = _int_levels(a, back, v, bits)
+            dV[:, col] = [mpf((m, k + F * (s - 1)))
+                          for s, (m, k) in enumerate(dv)]
+    return V, dV
+
+
+def _int_levels(a, back, carry, bits: int) -> list:
+    """(mantissa, exponent) pairs of v_0 = 1, v_{s+1} = a[s] v_s - sum
+    over (j, c) in back[s] of c v_{s-j}, each level summed exactly and
+    rounded once to `bits` bits; with carry = the levels of v, the same
+    for v' (v'_0 = 0, and v_s joins the sum for v'_{s+1})."""
+    ms, ks = [0 if carry else 1], [0]
+    for s, a_s in enumerate(a):
+        lo = ks[s]
+        for j, _ in back[s]:
+            if ks[s - j] < lo:
+                lo = ks[s - j]
+        if carry:
+            m, k = carry[s]
+            if k < lo:
+                lo = k
+            acc = m << k - lo
+        else:
+            acc = 0
+        acc += a_s * ms[s] << ks[s] - lo
+        for j, c in back[s]:
+            acc -= c * ms[s - j] << ks[s - j] - lo
+        drop = acc.bit_length() - bits
+        if drop > 0:
+            acc = (acc + (1 << drop - 1)) >> drop
+            lo += drop
+        ms.append(acc)
+        ks.append(lo)
+    return list(zip(ms, ks))
 
 
 def eval_type_ii(gen: GeneratorSequence, N: int, x, derivative: bool = False,
@@ -51,27 +157,7 @@ def eval_type_ii(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     Returns an array of shape (N+2, len(x)) (and, with derivative=True,
     the elementwise derivative as a second array).
     """
-    pts, scalar = _as_points(x, use_mp)
-    d = _diagonals(gen, N, use_mp)
-    p = gen.p
-    B = _zeros(N + 2, pts.size, use_mp)
-    B[0] = B[0] * 0 + 1 if use_mp else 1.0
-    if derivative:
-        dB = _zeros(N + 2, pts.size, use_mp)
-    for n in range(N + 1):
-        acc = (pts - d[0][n]) * B[n]
-        for j in range(1, min(p, n) + 1):
-            acc = acc - B[n - j] * d[j][n - j]
-        B[n + 1] = acc
-        if derivative:
-            dacc = B[n] + (pts - d[0][n]) * dB[n]
-            for j in range(1, min(p, n) + 1):
-                dacc = dacc - dB[n - j] * d[j][n - j]
-            dB[n + 1] = dacc
-    if scalar:
-        B = B[:, 0]
-        if derivative:
-            dB = dB[:, 0]
+    B, dB = _levels(gen, N, x, derivative, use_mp, forward=True)
     return (B, dB) if derivative else B
 
 
@@ -83,33 +169,8 @@ def eval_truncated(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     for k = 0..N+1 (R[0] equals B_{N+1} and R[N+1] = 1), computed by the
     backward column-expansion recurrence.
     """
-    pts, scalar = _as_points(x, use_mp)
-    d = _diagonals(gen, N, use_mp)
-    p = gen.p
-    R = _zeros(N + p + 1, pts.size, use_mp)
-    R[N + 1] = R[N + 1] * 0 + 1 if use_mp else 1.0
-    if derivative:
-        dR = _zeros(N + p + 1, pts.size, use_mp)
-    for k in range(N, -1, -1):
-        acc = (pts - d[0][k]) * R[k + 1]
-        for j in range(1, p + 1):
-            if k + j <= N:
-                acc = acc - R[k + j + 1] * d[j][k]
-        R[k] = acc
-        if derivative:
-            dacc = R[k + 1] + (pts - d[0][k]) * dR[k + 1]
-            for j in range(1, p + 1):
-                if k + j <= N:
-                    dacc = dacc - dR[k + j + 1] * d[j][k]
-            dR[k] = dacc
-    R = R[:N + 2]
-    if derivative:
-        dR = dR[:N + 2]
-    if scalar:
-        R = R[:, 0]
-        if derivative:
-            dR = dR[:, 0]
-    return (R, dR) if derivative else R
+    V, dV = _levels(gen, N, x, derivative, use_mp, forward=False)
+    return (V[::-1], dV[::-1]) if derivative else V[::-1]
 
 
 def eval_type_i(gen: GeneratorSequence, count: int, x,
@@ -125,11 +186,12 @@ def eval_type_i(gen: GeneratorSequence, count: int, x,
         raise InvalidInputError(f"count must be at least p = {p}")
     pts, scalar = _as_points(x, use_mp)
     d = _diagonals(gen, count - 1, use_mp)
-    A = _zeros(p * count, pts.size, use_mp).reshape(p, count, pts.size)
     nu = init.nu
-    for n in range(p):
-        for a in range(p):
-            A[a, n] = A[a, n] * 0 + nu[n, a] if use_mp else nu[n, a]
+    if use_mp:
+        import mpmath
+        nu = np.array([[mpmath.mpf(v) for v in row] for row in nu])
+    A = np.zeros((p, count, pts.size), dtype=nu.dtype)
+    A[:, :p] = nu.T[:, :, None]
     for n in range(count - p):
         for a in range(p):
             acc = pts * A[a, n]
@@ -152,13 +214,7 @@ def h_values(gen: GeneratorSequence, count: int, use_mp: bool = False) -> np.nda
         raise InvalidInputError("count must be positive")
     low = _diagonals(gen, count - 1 + p, use_mp)[p]
     sign = (-1) ** (p - 1)
-    if use_mp:
-        import mpmath
-        h = np.empty(count, dtype=object)
-        h[0] = mpmath.mpf(1)
-    else:
-        h = np.empty(count)
-        h[0] = 1.0
+    h = np.ones(count, dtype=object if use_mp else float)
     for n in range(count - 1):
         h[n + 1] = sign * h[n] * low[n]
     return h
@@ -174,13 +230,8 @@ def eval_second_kind(gen: GeneratorSequence, N: int, x,
     p = gen.p
     W = init.nu_inv_T
     rows = R[1:p + 1]
-    out = np.empty((p,) + rows.shape[1:], dtype=rows.dtype)
-    for a in range(p):
-        acc = rows[0] * W[0, a]
-        for k in range(1, p):
-            acc = acc + rows[k] * W[k, a]
-        out[a] = acc
-    return out
+    return np.array([sum(rows[k] * W[k, a] for k in range(p))
+                     for a in range(p)])
 
 
 def _det(M: np.ndarray):

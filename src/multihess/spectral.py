@@ -20,8 +20,8 @@ from .errors import IllConditionedSpectrumError, InvalidInputError, PoleError
 from .generator import GeneratorSequence
 from .pbf import (InitialConditionData, assemble_truncation, band_diagonals,
                   initial_conditions)
-from .polynomials import (_diagonals, eval_second_kind, eval_truncated,
-                          eval_type_ii)
+from .polynomials import (_diagonals, _float_levels, _steps,
+                          eval_second_kind, eval_truncated, eval_type_ii)
 
 _NEWTON_PASSES = 4
 _MP_DPS = 50
@@ -64,21 +64,14 @@ def _certified(roots: np.ndarray, band) -> bool:
 def _char(band, m: int, x, slope: bool = False) -> np.ndarray:
     """B_m at the float points x, or with slope=True B_m and B_m' as the
     rows of a (2, len(x)) array, bit for bit as eval_type_ii computes
-    them: the same operations in the same order, except that the slope
-    row adds B_n to (x - d) B_n', which IEEE addition makes exact."""
+    them on the band."""
     x = np.asarray(x, dtype=float)
-    p = len(band) - 1
-    xd = x - np.array(band[0][:m])[:, None]     # row n: x - T[n, n]
-    hist = [np.stack((np.ones_like(x), np.zeros_like(x))) if slope
-            else np.ones_like(x)]
-    for n in range(m):
-        acc = xd[n] * hist[n]
-        if slope:
-            acc[1] += hist[n][0]
-        for j in range(1, min(p, n) + 1):
-            acc -= hist[n - j] * band[j][n - j]
-        hist.append(acc)
-    return hist[m]
+    return _float_levels(x, _steps(band, m - 1, True), slope)[m]
+
+
+def _shift(gen: GeneratorSequence, N: int) -> int:
+    """log2 of the geometric mean of the alphas of T^[N], rounded."""
+    return int(np.rint(np.log2(gen.alphas(gen.required_alphas(N))).mean()))
 
 
 def _start_roots(gen: GeneratorSequence, N: int):
@@ -89,7 +82,7 @@ def _start_roots(gen: GeneratorSequence, N: int):
     shift that rounds log2 of the alphas' geometric mean, so the start
     does not depend on the alphas' scale; Newton steps on the same band
     finish it and the roots are scaled back exactly."""
-    shift = int(np.rint(np.log2(gen.alphas(gen.required_alphas(N))).mean()))
+    shift = _shift(gen, N)
     band = _band(gen, N, shift)
     Tt = np.diag(np.ones(N), -1)                # T^T[i, i+j] = T[i+j, i]
     for j, d in enumerate(band):
@@ -104,22 +97,23 @@ def _start_roots(gen: GeneratorSequence, N: int):
 
 
 def _mp_char_coeffs(gen: GeneratorSequence, N: int):
-    """Coefficients of B_{N+1} (highest degree first) in mpmath numbers."""
+    """Coefficients of B_{N+1} (highest degree first) in mpmath numbers,
+    each rounded once from the exact integer recurrence on the exact
+    band: on it, B_n(2^e y) / 2^(e n) has integer coefficients."""
     import mpmath
-    d = _diagonals(gen, N, use_mp=True)
-    p = gen.p
-    zero = mpmath.mpf(0)
-    polys = [[mpmath.mpf(1)]]          # ascending coefficient lists
+    d, e = band_diagonals(gen, N, exact=True)
+    polys = [[1]]                      # ascending coefficient lists
     for n in range(N + 1):
         cur = polys[n]
-        nxt = [zero] + cur             # x * B_n
+        nxt = [0] + cur                # y * B_n
         for i, c in enumerate(cur):
             nxt[i] -= d[0][n] * c
-        for j in range(1, min(p, n) + 1):
+        for j in range(1, min(gen.p, n) + 1):
             for i, c in enumerate(polys[n - j]):
                 nxt[i] -= d[j][n - j] * c
         polys.append(nxt)
-    return list(reversed(polys[N + 1]))
+    return [mpmath.mpf((c, e * (N + 1 - i)))
+            for i, c in reversed(list(enumerate(polys[N + 1])))]
 
 
 def _mp_roots(gen: GeneratorSequence, N: int):
@@ -251,6 +245,37 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
             "min_gap": float(np.abs(np.diff(cur)).min()) if N >= 1 else 0.0}
 
 
+def _int_rows(M: np.ndarray):
+    """The rows of an mpf matrix as integers over one binary exponent
+    each, M[i, l] = ints[i, l] 2^exps[i] exactly; the exponent of a row
+    holding a nan or an infinity is None."""
+    ints, exps = np.zeros(M.shape, dtype=object), []
+    for i, row in enumerate(M):
+        t = [v._mpf_ for v in row]
+        lo = min((exp for _, man, exp, _ in t if man), default=0)
+        ints[i] = [(-man if sign else man) << exp - lo if man else 0
+                   for sign, man, exp, _ in t]
+        exps.append(None if any(bc and not man for _, man, _, bc in t)
+                    else lo)
+    return ints, exps
+
+
+def _mp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for mpf object matrices, each entry the exact dot product
+    rounded once at the working precision, as mpmath.fdot gives it: the
+    rows of A and the columns of B become integers over one exponent
+    each, and their integer product is exact.  A nan or an infinity in a
+    row of A or a column of B makes that row or column of the product
+    NaN."""
+    import mpmath
+    (a, ea), (b, eb) = _int_rows(A), _int_rows(B.T)
+    out = a @ b.T
+    for (i, j), s in np.ndenumerate(out):
+        out[i, j] = (mpmath.nan if None in (ea[i], eb[j])
+                     else mpmath.mpf((s, ea[i] + eb[j])))
+    return out
+
+
 @dataclass
 class SpectralDecomposition:
     """Eigenvalue decomposition T = U diag(lams) W with polynomial tables.
@@ -287,19 +312,15 @@ class SpectralDecomposition:
         return nullcontext()
 
     def biorthogonality_residuals(self):
-        """(max|WU - I|, max|UW - I|).  In extended mode every entry is one
-        mpmath.fdot, an exact dot product rounded once at the tables'
-        precision, so cancelling large terms costs no digits."""
-        pairs = ((self.W, self.U), (self.U, self.W))
-        if not self.use_mp:
-            eye = np.eye(self.N + 1)
-            return tuple(float(abs(A @ B - eye).max()) for A, B in pairs)
-        import mpmath
+        """(max|WU - I|, max|UW - I|).  In extended mode every entry of a
+        product is an exact dot product rounded once at the tables'
+        precision (_mp_matmul), so cancelling large terms costs no
+        digits."""
+        mul = _mp_matmul if self.use_mp else np.matmul
+        eye = np.eye(self.N + 1, dtype=int)
         with self.workprec():
-            return tuple(float(max(abs(mpmath.fdot(a, b) - (i == j))
-                                   for i, a in enumerate(A)
-                                   for j, b in enumerate(B.T)))
-                         for A, B in pairs)
+            return tuple(float(abs((mul(A, B) - eye).astype(float)).max())
+                         for A, B in ((self.W, self.U), (self.U, self.W)))
 
     def matrix_power(self, n: int) -> np.ndarray:
         """(T^[N])^n reconstructed as U diag(lams^n) W."""
@@ -375,22 +396,25 @@ def decompose(gen: GeneratorSequence, N: int,
 
 
 def moments_matvec(gen: GeneratorSequence, N: int, order: int,
-                   init: InitialConditionData = None) -> np.ndarray:
+                   init: InitialConditionData = None,
+                   shift: int = 0) -> np.ndarray:
     """Power moments by iterated banded matrix-vector products.
 
     Row n, column a-1 holds the first component of T^n applied to the
     embedded initial vector of measure a.  This is the canonical moment
     path; the spectral sum over nodes and weights must agree with it.
+    With shift k they are the moments of T / 2^k, e_0^T M^n D^-1 v_a for
+    M of _band(gen, N, k) and D = diag(2^(k i)), so no large T overflows.
     """
     if init is None:
         init = initial_conditions(gen)
-    band = band_diagonals(gen, N)
+    band = [np.array(d) for d in _band(gen, N, shift)]
     out = np.empty((order + 1, gen.p))
     for a in range(1, gen.p + 1):
-        v = init.embedded_vector(a, N + 1)
+        v = np.ldexp(init.embedded_vector(a, N + 1), -shift * np.arange(N + 1))
         for n in range(order + 1):
             out[n, a - 1] = v[0]
-            if n < order:     # v <- T v in O(pN)
+            if n < order:     # v <- M v in O(pN)
                 y = band[0] * v
                 y[:-1] += v[1:]
                 for j in range(1, len(band)):

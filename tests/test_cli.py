@@ -118,16 +118,38 @@ def test_config_errors(tmp_path, capsys):
 
 
 def test_numeric_error_exit(tmp_path, capsys):
-    # parameters whose support crosses 1 cannot build the semi-infinite
-    # normalization; here: order below 0 triggers numeric validation
-    path = tmp_path / "gen.json"
-    path.write_text(json.dumps({
-        "p": 1,
-        "alphas": {"kind": "constant", "value": 1.0},
-    }))
-    code, _ = _run(["spectrum", "--input", str(path), "--order", "-3"],
-                   capsys)
+    # T's entries near 1e80 overflow the double tables, and the emitter
+    # refuses their non-finite weights
+    with np.errstate(all="ignore"):
+        code = main(["spectrum", "--input", _large_alphas(tmp_path, 1),
+                     "--order", "10"])
+    _, err = capsys.readouterr()
     assert code == EXIT_NUMERIC
+    assert "non-finite value cannot be serialized" in err
+
+
+_NEGATIVE = "argument --order: must be >= 0"
+_FEW_NODES = "a rule for 2 measures needs at least 2 nodes"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--order", "-3"], _NEGATIVE),
+    (["verify", "--order", "-1"], _NEGATIVE),
+    (["chain", "--order", "-2"], _NEGATIVE),
+    (["simulate", "--order", "-1", "--steps", "3", "--trials", "5",
+      "--seed", "1"], _NEGATIVE),
+    (["quadrature", "--measure", "1", "--nodes", "1"], _FEW_NODES),
+    (["quadrature", "--measure", "1", "--nodes", "0"], _FEW_NODES)],
+    ids=["spectrum", "verify", "chain", "simulate", "nodes1", "nodes0"])
+def test_sizes_below_range_are_configuration_errors(argv, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": 2, "alphas": {
+        "kind": "constant", "value": 1.0}}))
+    code = main(argv + ["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err
 
 
 def test_output_file(gen_file, tmp_path, capsys):
@@ -186,20 +208,34 @@ def test_verify_extended_sizes_digits_by_both_products(
     assert doc["ok"] is True and doc["failures"] == []
 
 
-@pytest.mark.parametrize("precision", ["double", "extended"])
-def test_verify_never_ok_on_overflowing_input(precision, tmp_path, capsys,
-                                              monkeypatch):
-    # T's entries near 1e80 overflow the double tables and the moment
-    # check here; verify once printed "ok": true on a NaN spectrum
+def _large_alphas(tmp_path, p):
     path = tmp_path / "gen.json"
-    path.write_text(json.dumps({"p": 1, "alphas": {
+    path.write_text(json.dumps({"p": p, "alphas": {
         "kind": "uniform", "low": 1e40, "high": 2e40, "seed": 3}}))
-    monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+    return str(path)
+
+
+def test_verify_double_never_ok_on_overflowing_input(tmp_path, capsys,
+                                                     monkeypatch):
+    # T's entries near 1e80 overflow the double tables; verify once
+    # printed "ok": true on a NaN spectrum
+    monkeypatch.setenv("MULTIHESS_PRECISION", "double")
     with np.errstate(all="ignore"):
-        code, doc = _run(["verify", "--input", str(path), "--order", "10"],
-                         capsys)
+        code, doc = _run(["verify", "--input", _large_alphas(tmp_path, 1),
+                          "--order", "10"], capsys)
     assert code in (EXIT_NUMERIC, EXIT_VERIFY)
     assert doc is None or doc["ok"] is False
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_verify_extended_scales_moments_on_large_alphas(p, tmp_path, capsys,
+                                                        monkeypatch):
+    # the moments of T reach 1e800 here; those of T / 2^shift do not
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, doc = _run(["verify", "--input", _large_alphas(tmp_path, p),
+                      "--order", "10"], capsys)
+    assert code == EXIT_OK
+    assert doc["ok"] is True and doc["failures"] == []
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
@@ -254,7 +290,7 @@ def test_every_command_at_low_orders(p, order, precision, tmp_path, capsys,
     code = main(["quadrature", "--measure", "1", "--nodes", str(order + 1),
                  "--check"] + common)
     if order + 1 < p:
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_CONFIG
         assert f"needs at least {p} nodes" in capsys.readouterr().err
     else:
         assert code == EXIT_OK

@@ -179,3 +179,25 @@ def test_bridge_round_trip_factors():
     for a in (1, 2):
         assert np.abs(fac2.factor(a) - fac.factor(a)).max() < 1e-10
     assert np.abs(fac2.upsilon() - fac.upsilon()).max() < 1e-10
+
+
+@pytest.mark.parametrize("p,N", [(2, 20), (3, 25)])
+@pytest.mark.parametrize("kind", ["type_ii", "type_i"])
+def test_km_power_extended_equals_fdot_entries(p, N, kind):
+    # the exact integer product gives every entry exactly as one
+    # mpmath.fdot per entry did
+    import mpmath
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=60 + p)
+    dec = decompose(g, N, use_mp=True)
+    ch = finite_chain(g, N, kind=kind)
+    v = ch.weights
+    for n in (0, 1, 5):
+        with dec.workprec():
+            Ud = dec.U * (dec.lams / ch.lam) ** n
+            core = np.array([[mpmath.fdot(r, c) for c in dec.W.T]
+                             for r in Ud], dtype=object)
+            if kind == "type_i":
+                core = core.T
+            want = np.array([[float(x) for x in row] for row in
+                             core * (v[None, :] / v[:, None])])
+        assert km_power(dec, ch, n).tobytes() == want.tobytes()

@@ -195,3 +195,26 @@ def test_embedded_vector():
     assert np.array_equal(e2, [1.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
         ic.embedded_vector(3, 5)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_exact_band_is_the_rational_factor_product(p):
+    # the dense product of the factors in exact rationals, placed against
+    # band[j][i] 2^(e (j+1)); alphas far apart in scale stress the common
+    # exponent
+    from fractions import Fraction
+    for low, high in ((0.5, 2.0), (1e-20, 3e-20), (1e40, 2e40)):
+        g = GeneratorSequence.uniform(p, low, high, seed=4)
+        N = 7
+        lowers, u_diag = _bidiagonal_factors(g, N)
+        M = [[Fraction(u_diag[i]) if i == j else Fraction(int(j == i + 1))
+              for j in range(N + 1)] for i in range(N + 1)]
+        for sub in reversed(lowers):
+            M = [M[0]] + [[M[i][j] + Fraction(sub[i - 1]) * M[i - 1][j]
+                           for j in range(N + 1)] for i in range(1, N + 1)]
+        band, e = band_diagonals(g, N, exact=True)
+        for j, d in enumerate(band):
+            assert len(d) == N + 1 - j
+            assert all(type(v) is int for v in d)
+            assert [Fraction(v) * Fraction(2) ** (e * (j + 1)) for v in d] \
+                == [M[i + j][i] for i in range(N + 1 - j)]

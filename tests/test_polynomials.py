@@ -155,3 +155,91 @@ def test_determinantal_identity():
         for t in (0.8, 1.7, 3.3):
             lhs, rhs = determinantal_identity(g, n, t, ic)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
+
+
+def _mpf_loop_oracle(g, N, x, dps):
+    """B, B', R, R' at the mpf point x by plain mpf loops at dps digits, and
+    the same recurrences on |x| and the absolute band, which bound how
+    far rounding each level can move it."""
+    import mpmath
+    from multihess.pbf import band_diagonals
+    band, e = band_diagonals(g, N, exact=True)
+    p = g.p
+    with mpmath.workdps(dps):
+        d = [[mpmath.ldexp(v, e * (j + 1)) for v in dj]
+             for j, dj in enumerate(band)]
+        out = {}
+        for key, t, sign in (("", mpmath.mpf(x), -1),
+                             ("abs", abs(mpmath.mpf(x)), 1)):
+            B, dB = [mpmath.mpf(1)], [mpmath.mpf(0)]
+            for n in range(N + 1):
+                a = t + sign * d[0][n]
+                js = range(1, min(p, n) + 1)
+                B.append(a * B[n] + sign * mpmath.fsum(
+                    d[j][n - j] * B[n - j] for j in js))
+                dB.append(B[n] + a * dB[n] + sign * mpmath.fsum(
+                    d[j][n - j] * dB[n - j] for j in js))
+            R = [mpmath.mpf(0)] * (N + 1) + [mpmath.mpf(1)]
+            dR = [mpmath.mpf(0)] * (N + 2)
+            for k in range(N, -1, -1):
+                a = t + sign * d[0][k]
+                js = range(1, min(p, N - k) + 1)
+                R[k] = a * R[k + 1] + sign * mpmath.fsum(
+                    d[j][k] * R[k + j + 1] for j in js)
+                dR[k] = R[k + 1] + a * dR[k + 1] + sign * mpmath.fsum(
+                    d[j][k] * dR[k + j + 1] for j in js)
+            for name, levels in (("B", B), ("dB", dB), ("R", R), ("dR", dR)):
+                out[key + name] = levels
+    return out
+
+
+@pytest.mark.parametrize("dps", [50, 120])
+@pytest.mark.parametrize("p,N", [(1, 0), (1, 25), (1, 35), (2, 0), (2, 1),
+                                 (2, 25), (2, 35), (3, 0), (3, 2), (3, 25),
+                                 (3, 35)])
+def test_mp_levels_match_plain_mpf_loop(p, N, dps):
+    # the integer kernel against mpf loops at dps + 40: each level within
+    # 4 roundings of its absolute bound, and at the roots the Newton step
+    # B_{N+1} / B'_{N+1} within 1e-44 of the root at 50 digits
+    import mpmath
+    from multihess import eigenvalues
+    from multihess.spectral import _mp_polish
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=5 + N)
+    with mpmath.workdps(dps):
+        roots = _mp_polish(g, N, eigenvalues(g, N), dps)
+        x = np.concatenate((roots, [mpmath.mpf(0), mpmath.mpf(-1.5),
+                                    mpmath.mpf(3) / 7, mpmath.mpf(40)]))
+        B, dB = eval_type_ii(g, N, x, derivative=True, use_mp=True)
+        R, dR = eval_truncated(g, N, x, derivative=True, use_mp=True)
+        tol = 4 * mpmath.mpf(2) ** -mpmath.mp.prec
+        Bs, dBs = eval_type_ii(g, N, x[0], derivative=True, use_mp=True)
+    assert B.shape == dB.shape == R.shape == (N + 2, x.size)
+    assert Bs.shape == dBs.shape == (N + 2,)
+    assert all(type(v) is mpmath.mpf for v in B.flat)
+    assert list(Bs) == list(B[:, 0]) and list(dBs) == list(dB[:, 0])
+    for i, t in enumerate(x):
+        ref = _mpf_loop_oracle(g, N, t, dps + 40)
+        for got, key in ((B, "B"), (dB, "dB"), (R, "R"), (dR, "dR")):
+            bound = ref["abs" + key]
+            for n in range(N + 2):
+                assert abs(got[n, i] - ref[key][n]) <= tol * bound[n]
+        assert abs(R[0, i] - B[N + 1, i]) <= 2 * tol * ref["absB"][N + 1]
+        if i < roots.size and dps == 50:
+            step = abs(B[N + 1, i] - ref["B"][N + 1]) / abs(ref["dB"][N + 1])
+            assert step <= 1e-44 * t
+
+
+def test_mp_levels_give_nan_at_special_points():
+    import mpmath
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=3)
+    x = np.array([mpmath.nan, mpmath.inf, -mpmath.inf, mpmath.mpf(1)],
+                 dtype=object)
+    with mpmath.workdps(50):
+        B, dB = eval_type_ii(g, 6, x, derivative=True, use_mp=True)
+        R = eval_truncated(g, 6, x, use_mp=True)
+    for col in range(3):
+        assert B[0, col] == 1 and dB[0, col] == 0 and R[7, col] == 1
+        assert all(mpmath.isnan(v) for v in B[1:, col])
+        assert all(mpmath.isnan(v) for v in dB[1:, col])
+        assert all(mpmath.isnan(v) for v in R[:7, col])
+    assert all(mpmath.isfinite(v) for v in B[:, 3])

@@ -368,3 +368,50 @@ def test_order_zero_extended_precision():
     assert lams.size == 1 and float(lams[0]) == t00
     dec = decompose(g, 0, use_mp=True)
     assert float(dec.lams[0]) == t00 and float(dec.mu[0, 0]) == 1.0
+
+
+@pytest.mark.parametrize("p,N", [(1, 20), (2, 20), (3, 25)])
+def test_exact_products_match_fdot(p, N):
+    # every entry of the extended WU and UW within one rounding at the
+    # tables' precision of one mpmath.fdot, and so are the residuals
+    import mpmath
+    from multihess.spectral import _mp_matmul
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=30 + p)
+    dec = decompose(g, N, use_mp=True)
+    with dec.workprec():
+        ulp = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
+        res = []
+        for A, B in ((dec.W, dec.U), (dec.U, dec.W)):
+            want = [[mpmath.fdot(a, b) for b in B.T] for a in A]
+            got = _mp_matmul(A, B)
+            assert got.shape == (N + 1, N + 1)
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    assert abs(got[i, j] - want[i][j]) <= ulp * abs(want[i][j])
+            res.append(float(max(abs(want[i][j] - (i == j))
+                                 for i in range(N + 1)
+                                 for j in range(N + 1))))
+    r = dec.biorthogonality_residuals()
+    assert r == pytest.approx(tuple(res), rel=1e-6)
+    assert max(r) < 1e-30
+
+
+def test_exact_products_carry_nan():
+    import mpmath
+    from multihess.spectral import _mp_matmul
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=31)
+    dec = decompose(g, 8, use_mp=True)
+    with dec.workprec():
+        U = dec.U.copy()
+        U[3, 5] = mpmath.nan                     # row 3, column 5
+        P = _mp_matmul(U, dec.W)
+        assert all(mpmath.isnan(v) for v in P[3])
+        assert not any(mpmath.isnan(v) for v in np.delete(P, 3, 0).flat)
+        Q = _mp_matmul(dec.W, U)
+        assert all(mpmath.isnan(v) for v in Q[:, 5])
+        assert not any(mpmath.isnan(v) for v in np.delete(Q, 5, 1).flat)
+    dec.U = U
+    assert all(np.isnan(r) for r in dec.biorthogonality_residuals())
+    with np.errstate(invalid="ignore"):
+        dec.U = dec.U * np.nan
+    assert all(np.isnan(r) for r in dec.biorthogonality_residuals())
