@@ -3,11 +3,10 @@ bidiagonal factorization, and the Markov chains they generate."""
 
 __version__ = "1.0.0"
 
-from .errors import (ConfigError, FactorizationError,
-                     IllConditionedSpectrumError, InsufficientDataError,
-                     InvalidGeneratorError, InvalidInputError,
-                     MultihessError, NormalizationError, NumericRangeError,
-                     PoleError, PreconditionError)
+from .errors import (ConfigError, IllConditionedSpectrumError,
+                     InsufficientDataError, InvalidGeneratorError,
+                     InvalidInputError, MultihessError, NormalizationError,
+                     NumericRangeError, PoleError, PreconditionError)
 from .generator import (GeneratorSequence, generator_from_json,
                         generator_from_json_dict)
 from .markov import (FiniteChain, StochasticFactorization, factors_to_alphas,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -24,11 +25,10 @@ from .generator import generator_from_json
 from .markov import (_polished_top, finite_chain, recurrence_diagnostic,
                      stationary_distribution, to_stochastic_factors)
 from .montecarlo import simulate_chain
-from .pbf import initial_conditions
 from .quadrature import exactness_profile, gauss_rule
 from .serialize import (factors_to_csv, matrix_to_csv, spectrum_to_csv,
                         to_json)
-from .spectral import _shift, decompose, moments_matvec
+from .spectral import _moment_errors, decompose
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,10 +109,9 @@ def _cmd_quadrature(args) -> int:
     if args.nodes < gen.p:
         raise ConfigError(f"a rule for {gen.p} measures needs at least "
                           f"{gen.p} nodes")
-    init = initial_conditions(gen)
     # one solve for the rule and its check
-    dec = decompose(gen, args.nodes - 1, init=init, use_mp=_precision())
-    rule = gauss_rule(gen, args.measure, args.nodes, init=init, dec=dec)
+    dec = decompose(gen, args.nodes - 1, use_mp=_precision())
+    rule = gauss_rule(gen, args.measure, args.nodes, dec=dec)
     doc = {
         "command": "quadrature",
         "version": __version__,
@@ -123,8 +122,7 @@ def _cmd_quadrature(args) -> int:
         "degree": rule.degree,
     }
     if args.check:
-        profile = exactness_profile(gen, args.measure, args.nodes, init=init,
-                                    dec=dec)
+        profile = exactness_profile(gen, args.measure, args.nodes, dec=dec)
         doc["exactness_errors"] = {str(n): e for n, e in
                                    profile["errors"].items()}
     _write(args, doc)
@@ -194,30 +192,23 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     gen = _load_generator(args.input)
-    init = initial_conditions(gen)
     N = args.order
-    dec = _decompose(gen, N, init=init, use_mp=_precision())
+    dec = _decompose(gen, N, use_mp=_precision())
     failures = []
     # every check is written so that NaN fails it
     r1, r2 = dec.biorthogonality_residuals()
     if not (r1 <= args.tolerance and r2 <= args.tolerance):
         failures.append(f"biorthogonality residual {max(r1, r2):.3e}")
-    lams = np.array([float(v) for v in dec.lams])
-    mu = np.array([[float(v) for v in row] for row in dec.mu])
+    lams, mu = dec.lams.astype(float), dec.mu.astype(float)
     if not (lams.min() > 0.0 and np.all(np.diff(lams) < 0.0)):
         failures.append("spectrum is not positive and strictly ordered")
     if not mu.min() > 0.0:
         failures.append("a Christoffel weight is not positive")
-    # moments of T / 2^shift, which stay in double range for large T
-    order, shift = min(2 * N, 10), _shift(gen, N)
-    mm = moments_matvec(gen, N, order, init, shift)
     for a in range(1, gen.p + 1):
-        for n in range(order + 1):
-            spec = float(np.dot(mu[:, a - 1], np.ldexp(lams, -shift) ** n))
-            scale = max(1.0, abs(mm[n, a - 1]))
-            if not abs(spec - mm[n, a - 1]) / scale <= args.tolerance:
-                failures.append(f"moment mismatch a={a} n={n}")
-                break
+        errors = _moment_errors(dec, a, min(2 * N, 10), N)
+        bad = [n for n, e in enumerate(errors) if not e <= args.tolerance]
+        if bad:
+            failures.append(f"moment mismatch a={a} n={bad[0]}")
     doc = {
         "command": "verify",
         "version": __version__,
@@ -290,8 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every request of a process parses with one parser, built on first use
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "order", 0) < 0:

@@ -32,21 +32,9 @@ class PoleError(MultihessError):
 class InsufficientDataError(MultihessError):
     """Finite generator too short for the requested truncation order."""
 
-    def __init__(self, message, required_order=None):
-        super().__init__(message)
-        self.required_order = required_order
-
 
 class NormalizationError(MultihessError):
     """Semi-infinite stochastic normalization hypothesis failed."""
-
-
-class FactorizationError(MultihessError):
-    """Stochastic bidiagonal factors violate positivity at some entry."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
 
 class ConfigError(MultihessError):

@@ -82,8 +82,7 @@ class GeneratorSequence:
         if self.kind == "list":
             if count > len(self.values):
                 raise InsufficientDataError(
-                    f"generator provides {len(self.values)} alphas, {count} required",
-                    required_order=count)
+                    f"generator provides {len(self.values)} alphas, {count} required")
             return np.asarray(self.values[:count], dtype=float)
         if self.kind == "constant":
             return np.full(count, self.values[0])
@@ -105,8 +104,7 @@ class GeneratorSequence:
             return self.values[0]
         if i > len(self.values):
             raise InsufficientDataError(
-                f"generator provides {len(self.values)} alphas, index {i} requested",
-                required_order=i)
+                f"generator provides {len(self.values)} alphas, index {i} requested")
         return self.values[i - 1]
 
     def required_alphas(self, order: int) -> int:

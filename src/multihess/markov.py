@@ -146,9 +146,8 @@ def first_return_gf(dec: SpectralDecomposition, l: int, s: float) -> float:
     return 1.0 - 1.0 / return_probability_gf(dec, l, s)
 
 
-def recurrence_diagnostic(dec: SpectralDecomposition, l: int = 0,
-                          max_exponent: int = 8) -> dict:
-    """Sample F_ll at s = 1 - 10^-m for m = 1..max_exponent; classify l.
+def recurrence_diagnostic(dec: SpectralDecomposition, l: int = 0) -> dict:
+    """Sample F_ll at s = 1 - 10^-m for m = 1..8; classify l.
 
     The state is recurrent exactly when F_ll(s) -> 1 as s -> 1, that is
     when the return generating function diverges there.  Only its top
@@ -159,7 +158,7 @@ def recurrence_diagnostic(dec: SpectralDecomposition, l: int = 0,
     drops below pi_l, which at the edges of long chains lies far below
     the last sample's 1e-8.
     """
-    ms = list(range(1, max_exponent + 1))
+    ms = list(range(1, 9))
     values = [first_return_gf(dec, l, 1.0 - 10.0 ** (-m)) for m in ms]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     with dec.workprec():
@@ -179,15 +178,15 @@ def stationary_distribution(dec: SpectralDecomposition) -> np.ndarray:
         return np.asarray(dec.U[:, 0] * dec.W[0, :], dtype=float)
 
 
-def stationary_power_iteration(P: np.ndarray, iters: int = 20000,
-                               tol: float = 1e-14) -> np.ndarray:
-    """Independent stationary vector by repeated left multiplication."""
+def stationary_power_iteration(P: np.ndarray) -> np.ndarray:
+    """Independent stationary vector by repeated left multiplication: at
+    most 20000 steps, stopping once a step moves every entry by < 1e-14."""
     n = P.shape[0]
     x = np.full(n, 1.0 / n)
-    for _ in range(iters):
+    for _ in range(20000):
         y = x @ P
         y /= y.sum()
-        if np.abs(y - x).max() < tol:
+        if np.abs(y - x).max() < 1e-14:
             return y
         x = y
     return x

@@ -130,18 +130,16 @@ def darboux(gen: GeneratorSequence, N: int, k: int) -> BandedHessenberg:
     return BandedHessenberg(p=gen.p, N=N, dense=M, pbf=True)
 
 
-def oscillatory_check(M, exhaustive_limit: int = 7, pbf_certified: bool = None):
+def oscillatory_check(M):
     """Decide whether a square matrix is oscillatory.
 
-    Up to exhaustive_limit the totally-nonnegative property is checked by
+    Up to order 7 the totally-nonnegative property is checked by
     enumerating every minor; together with nonsingularity and positive
-    first sub/superdiagonals this is the full criterion.  Above the limit
-    the minor scan is infeasible, and the result is True only with
-    bidiagonal-factorization provenance; otherwise None is returned to
-    mark the outcome as indeterminate (distinct from False).
+    first sub/superdiagonals this is the full criterion.  Above that the
+    minor scan is infeasible, and the result is True only with
+    bidiagonal-factorization provenance (M.pbf); otherwise None is
+    returned to mark the outcome as indeterminate (distinct from False).
     """
-    if pbf_certified is None:
-        pbf_certified = getattr(M, "pbf", False)
     A = M.dense if isinstance(M, BandedHessenberg) else np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError("oscillatory_check needs a square matrix")
@@ -154,8 +152,8 @@ def oscillatory_check(M, exhaustive_limit: int = 7, pbf_certified: bool = None):
             return False
     if abs(np.linalg.det(A)) <= tol ** n:
         return False
-    if n > exhaustive_limit:
-        return True if pbf_certified else None
+    if n > 7:
+        return True if getattr(M, "pbf", False) else None
     idx = range(n)
     for k in range(1, n + 1):
         det_tol = tol * max(1.0, scale ** (k - 1))
@@ -177,13 +175,11 @@ class InitialConditionData:
     per-measure total masses.
     """
 
-    C: np.ndarray
-    scriptL: np.ndarray
     nu: np.ndarray
     nu_inv_T: np.ndarray
 
     def __post_init__(self):
-        for a in (self.C, self.scriptL, self.nu, self.nu_inv_T):
+        for a in (self.nu, self.nu_inv_T):
             a.setflags(write=False)
 
     @property
@@ -241,8 +237,7 @@ def initial_conditions(gen: GeneratorSequence, C: np.ndarray = None) -> InitialC
         raise InvalidInputError("C must be upper triangular")
     if C.min() < 0.0:
         raise InvalidInputError("C must be entrywise nonnegative")
-    L = script_L(gen)
-    nu_inv_T = L @ C
+    nu_inv_T = script_L(gen) @ C
     # nu = (L C)^{-T}, by back-substitution on the unitriangular transpose.
     nu = np.linalg.solve(nu_inv_T.T, np.eye(p))
-    return InitialConditionData(C=C, scriptL=L, nu=nu, nu_inv_T=nu_inv_T)
+    return InitialConditionData(nu=nu, nu_inv_T=nu_inv_T)

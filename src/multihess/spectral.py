@@ -396,31 +396,58 @@ def decompose(gen: GeneratorSequence, N: int,
 
 
 def moments_matvec(gen: GeneratorSequence, N: int, order: int,
-                   init: InitialConditionData = None,
-                   shift: int = 0) -> np.ndarray:
+                   init: InitialConditionData = None) -> np.ndarray:
     """Power moments by iterated banded matrix-vector products.
 
     Row n, column a-1 holds the first component of T^n applied to the
     embedded initial vector of measure a.  This is the canonical moment
     path; the spectral sum over nodes and weights must agree with it.
-    With shift k they are the moments of T / 2^k, e_0^T M^n D^-1 v_a for
-    M of _band(gen, N, k) and D = diag(2^(k i)), so no large T overflows.
     """
     if init is None:
         init = initial_conditions(gen)
-    band = [np.array(d) for d in _band(gen, N, shift)]
-    out = np.empty((order + 1, gen.p))
-    for a in range(1, gen.p + 1):
-        v = np.ldexp(init.embedded_vector(a, N + 1), -shift * np.arange(N + 1))
-        for n in range(order + 1):
-            out[n, a - 1] = v[0]
-            if n < order:     # v <- M v in O(pN)
-                y = band[0] * v
-                y[:-1] += v[1:]
-                for j in range(1, len(band)):
-                    y[j:] += band[j] * v[:-j]
-                v = y
+    band = _band(gen, N)
+    return np.column_stack([_chain(band, init.embedded_vector(a, N + 1),
+                                   order) for a in range(1, gen.p + 1)])
+
+
+def _chain(band, v, order: int) -> list:
+    """(M^n v)[0] for n = 0..order, M with unit superdiagonal and band
+    band[j][i] = M[i+j, i], each product in O(pN); floats or mpf alike."""
+    band, v = [np.array(d) for d in band], np.array(v)
+    out = [v[0]]
+    for _ in range(order):
+        y = band[0] * v
+        y[:-1] += v[1:]
+        for j in range(1, len(band)):
+            y[j:] += band[j] * v[:-j]
+        v = y
+        out.append(v[0])
     return out
+
+
+def _moment_errors(dec: SpectralDecomposition, a: int, order: int, M: int,
+                   use_mp: bool = False) -> list:
+    """|sum_k mu_{k,a} lam_k^n - m_n| / max(1, |m_n|), n = 0..order, for
+    the moments m_n = e_0^T T^n v_a of _chain on T^[M].  In double both
+    sides are those of T / 2^s, s = _shift(gen, M): float copies of the
+    tables give mu . (lams / 2^s)^n and _chain gives e_0^T S^n D^-1 v_a
+    for S of _band(gen, M, s) and D = diag(2^(s i)), exactly, so no large
+    T overflows and s = 0 keeps every bit.  With use_mp the extended
+    tables are compared unscaled, in mpf at their own precision."""
+    gen, v = dec.gen, dec.init.embedded_vector(a, M + 1)
+    if use_mp:
+        import mpmath
+        with dec.workprec():
+            v = [mpmath.mpf(x) for x in v]
+            refs = _chain(_diagonals(gen, M, True), v, order)
+            return [abs(np.sum(dec.mu[:, a - 1] * dec.lams ** n) - m)
+                    / max(mpmath.mpf(1), abs(m)) for n, m in enumerate(refs)]
+    s = _shift(gen, M)
+    refs = _chain(_band(gen, M, s), np.ldexp(v, -s * np.arange(M + 1)), order)
+    lams = np.ldexp(dec.lams.astype(float), -s)
+    mu = dec.mu[:, a - 1].astype(float)
+    return [abs(float(np.dot(mu, lams ** n)) - m) / max(1.0, abs(m))
+            for n, m in enumerate(map(float, refs))]
 
 
 def weyl_rational(gen: GeneratorSequence, N: int, z,

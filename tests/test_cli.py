@@ -239,6 +239,25 @@ def test_verify_extended_scales_moments_on_large_alphas(p, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_quadrature_check_scales_moments_on_large_alphas(p, precision,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    # the moments of T overflow double range here; the check compares
+    # those of T / 2^shift, as verify does (the double spectrum's float
+    # recurrences overflow on the way to its high-precision route)
+    monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+    with np.errstate(all="ignore"):
+        code, doc = _run(["quadrature", "--input",
+                          _large_alphas(tmp_path, p), "--measure", "1",
+                          "--nodes", "8", "--check"], capsys)
+    assert code == EXIT_OK
+    errors = doc["exactness_errors"]
+    assert list(errors) == [str(n) for n in range(doc["degree"] + 3)]
+    assert max(errors[str(n)] for n in range(doc["degree"] + 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
 def test_verify_checks_fail_on_nan_tables(precision, gen_file, capsys,
                                           monkeypatch):
     from multihess import cli

@@ -79,6 +79,24 @@ def test_sharpness_scan_matches_formula():
             assert out["remainder_past_degree"] > 0.0
 
 
+@pytest.mark.parametrize("use_mp", [False, True])
+def test_sharpness_scan_counts_nan_errors_as_failures(use_mp, monkeypatch):
+    from multihess import quadrature
+    real = quadrature.decompose
+
+    def nan_tables(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        with np.errstate(invalid="ignore"):
+            dec.lams, dec.mu = dec.lams * np.nan, dec.mu * np.nan
+        return dec
+
+    monkeypatch.setattr(quadrature, "decompose", nan_tables)
+    g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=43)
+    out = sharpness_scan(g, 1, 4, use_mp=use_mp)
+    assert out["exact_through"] == -1
+    assert np.isnan(out["remainder_past_degree"])
+
+
 def test_integrate_callable():
     g = GeneratorSequence.uniform(1, 0.5, 2.0, seed=44)
     rule = gauss_rule(g, 1, 5)
@@ -107,7 +125,6 @@ def test_exactness_profile_moments_match_reference_moment_bitwise(p, a,
 def test_extended_sharpness_scan_matches_per_order_chains():
     import mpmath
     from multihess.polynomials import _diagonals
-    from multihess.quadrature import _band_matvec
     from multihess.spectral import decompose
     g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=44)
     a, nodes, extra = 1, 9, 3
@@ -120,8 +137,10 @@ def test_extended_sharpness_scan_matches_per_order_chains():
             M = minimal_truncation(g.p, a, n)
             band = _diagonals(g, M, True)
             v = [mpmath.mpf(x) for x in ic.embedded_vector(a, M + 1)]
-            for _ in range(n):
-                v = _band_matvec(band, v)
+            for _ in range(n):   # row i of T v, over ascending columns
+                v = [sum(band[i - k][k] * v[k]
+                         for k in range(max(0, i - g.p), i + 1))
+                     + (v[i + 1] if i + 1 <= M else 0) for i in range(M + 1)]
             got = np.sum(dec.mu[:, a - 1] * dec.lams ** n)
             rel = abs(got - v[0]) / max(mpmath.mpf(1), abs(v[0]))
             if rel > 1e-20:
