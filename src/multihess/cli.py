@@ -57,8 +57,8 @@ def _precision() -> bool:
 def _decompose(gen, N: int, **kw):
     """decompose(), refusing orders too low to carry p measures."""
     if N < gen.p - 1:
-        raise ConfigError(f"order {N} is below p - 1 = {gen.p - 1}: "
-                          f"{gen.p} measures need at least {gen.p} nodes")
+        raise ConfigError(f"order {N} is below p - 1 = {gen.p - 1}: a rule "
+                          f"for {gen.p} measures needs at least {gen.p} nodes")
     return decompose(gen, N, **kw)
 
 
@@ -70,7 +70,7 @@ def _rows(arr) -> list:
     return [[float(v) for v in row] for row in np.asarray(arr)]
 
 
-def _write(args, doc: dict, csv_text: str = None):
+def _write(args, doc: dict, csv_text: str | None):
     text = to_json(doc)
     if args.output:
         with open(args.output, "w") as fh:
@@ -78,44 +78,29 @@ def _write(args, doc: dict, csv_text: str = None):
     else:
         sys.stdout.write(text)
     if csv_text is not None:
-        if not args.csv:
-            raise ConfigError("this subcommand produced CSV; pass --csv PATH")
         with open(args.csv, "w") as fh:
             fh.write(csv_text)
 
 
-def _cmd_spectrum(args) -> int:
-    gen = _load_generator(args.input)
+# a command returns (its fields after main()'s header, CSV text or None)
+def _cmd_spectrum(args, gen):
     use_mp = _precision()
     dec = _decompose(gen, args.order, use_mp=use_mp)
-    lams = np.array([float(v) for v in dec.lams])
-    mu = np.array([[float(v) for v in row] for row in dec.mu])
-    doc = {
-        "command": "spectrum",
-        "version": __version__,
-        "p": gen.p,
+    lams, mu = dec.lams.astype(float), dec.mu.astype(float)
+    return {
         "order": args.order,
         "precision": "extended" if use_mp else "double",
         "eigenvalues": _floats(lams),
         "weights": _rows(mu),
         "total_masses": _floats(mu.sum(axis=0)),
-    }
-    _write(args, doc, spectrum_to_csv(lams, mu) if args.csv else None)
-    return EXIT_OK
+    }, spectrum_to_csv(lams, mu) if args.csv else None
 
 
-def _cmd_quadrature(args) -> int:
-    gen = _load_generator(args.input)
-    if args.nodes < gen.p:
-        raise ConfigError(f"a rule for {gen.p} measures needs at least "
-                          f"{gen.p} nodes")
-    # one solve for the rule and its check
-    dec = decompose(gen, args.nodes - 1, use_mp=_precision())
+def _cmd_quadrature(args, gen):
+    # one solve for the rule and its check; nodes < p is order < p - 1
+    dec = _decompose(gen, args.nodes - 1, use_mp=_precision())
     rule = gauss_rule(gen, args.measure, args.nodes, dec=dec)
-    doc = {
-        "command": "quadrature",
-        "version": __version__,
-        "p": gen.p,
+    fields = {
         "measure": args.measure,
         "nodes": _floats(rule.nodes),
         "weights": _floats(rule.weights),
@@ -123,30 +108,24 @@ def _cmd_quadrature(args) -> int:
     }
     if args.check:
         profile = exactness_profile(gen, args.measure, args.nodes, dec=dec)
-        doc["exactness_errors"] = {str(n): e for n, e in
-                                   profile["errors"].items()}
-    _write(args, doc)
-    return EXIT_OK
+        fields["exactness_errors"] = {str(n): e for n, e in
+                                      profile["errors"].items()}
+    return fields, None
 
 
-def _cmd_chain(args) -> int:
-    gen = _load_generator(args.input)
+def _cmd_chain(args, gen):
     # one spectral solve and one polish of its top eigenvalue serve the
     # chain, its stationary vector, the diagnostic and the factors
     dec = _decompose(gen, args.order, use_mp=_precision())
     lam = _polished_top(gen, args.order, start=float(dec.lams[0]))
     chain = finite_chain(gen, args.order, kind=args.kind, lam=lam)
-    pi = stationary_distribution(dec)
     diag = recurrence_diagnostic(dec, l=args.state)
-    doc = {
-        "command": "chain",
-        "version": __version__,
-        "p": gen.p,
+    fields = {
         "order": args.order,
         "kind": args.kind,
         "lam": float(chain.lam),
         "transition_matrix": _rows(chain.P),
-        "stationary": _floats(pi),
+        "stationary": _floats(stationary_distribution(dec)),
         "recurrence": {
             "state": args.state,
             "s_exponents": diag["s_exponents"],
@@ -155,26 +134,19 @@ def _cmd_chain(args) -> int:
             "recurrent": diag["recurrent"],
         },
     }
-    csv_text = None
-    if args.csv:
-        if args.factors:
-            csv_text = factors_to_csv(
-                to_stochastic_factors(gen, args.order, lam=lam))
-        else:
-            csv_text = matrix_to_csv(chain.P)
-    _write(args, doc, csv_text)
-    return EXIT_OK
+    if not args.csv:
+        return fields, None
+    if args.factors:
+        return fields, factors_to_csv(
+            to_stochastic_factors(gen, args.order, lam=lam))
+    return fields, matrix_to_csv(chain.P)
 
 
-def _cmd_simulate(args) -> int:
-    gen = _load_generator(args.input)
+def _cmd_simulate(args, gen):
     chain = finite_chain(gen, args.order, kind=args.kind)
     report = simulate_chain(chain.P, args.start, args.steps, args.trials,
                             args.seed)
-    doc = {
-        "command": "simulate",
-        "version": __version__,
-        "p": gen.p,
+    return {
         "order": args.order,
         "kind": args.kind,
         "seed": args.seed,
@@ -185,13 +157,10 @@ def _cmd_simulate(args) -> int:
         "reference": _floats(report.reference),
         "z_scores": _floats(report.z_scores),
         "max_abs_z": report.max_abs_z(),
-    }
-    _write(args, doc)
-    return EXIT_OK
+    }, None
 
 
-def _cmd_verify(args) -> int:
-    gen = _load_generator(args.input)
+def _cmd_verify(args, gen):
     N = args.order
     dec = _decompose(gen, N, use_mp=_precision())
     failures = []
@@ -209,19 +178,14 @@ def _cmd_verify(args) -> int:
         bad = [n for n, e in enumerate(errors) if not e <= args.tolerance]
         if bad:
             failures.append(f"moment mismatch a={a} n={bad[0]}")
-    doc = {
-        "command": "verify",
-        "version": __version__,
-        "p": gen.p,
+    return {
         "order": N,
         "tolerance": args.tolerance,
         "checks": ["biorthogonality", "spectrum_positivity",
                    "weight_positivity", "moment_consistency"],
         "failures": failures,
         "ok": not failures,
-    }
-    _write(args, doc)
-    return EXIT_OK if not failures else EXIT_VERIFY
+    }, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +258,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # the one request pipeline: shared header, writer and exit code
+        gen = _load_generator(args.input)
+        fields, csv_text = args.func(args, gen)
+        doc = {"command": args.command, "version": __version__, "p": gen.p,
+               **fields}
+        _write(args, doc, csv_text)
+        return EXIT_VERIFY if doc.get("ok") is False else EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

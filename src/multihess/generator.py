@@ -95,17 +95,7 @@ class GeneratorSequence:
         """alpha_i with 1-based index i."""
         if i < 1:
             raise InvalidInputError(f"alpha index is 1-based, got {i}")
-        if self.kind == "uniform":
-            return float(uniform_stream(self.seed, 1, self.low, self.high,
-                                        offset=i - 1)[0])
-        if self.kind == "periodic":
-            return self.values[(i - 1) % len(self.values)]
-        if self.kind == "constant":
-            return self.values[0]
-        if i > len(self.values):
-            raise InsufficientDataError(
-                f"generator provides {len(self.values)} alphas, index {i} requested")
-        return self.values[i - 1]
+        return float(self.alphas(i)[-1])
 
     def required_alphas(self, order: int) -> int:
         """Alphas consumed by the truncation of the given order."""

@@ -6,7 +6,9 @@ T / lam_1 by the monic-polynomial values at lam_1, and the column
 ("type I") chain conjugates the transpose by the trailing-block values.
 Both share spectra, stationary vector and return-time structure, and both
 admit spectral (Karlin-McGregor style) formulas for their n-step
-probabilities via the node/weight tables.
+probabilities via the node/weight tables.  The row chain splits into p
+lower and one upper stochastic bidiagonal factor by one right-to-left
+sweep of diagonal similarities over the factors of T (to_stochastic_factors).
 """
 
 from __future__ import annotations
@@ -88,20 +90,12 @@ def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii",
 
 
 def semi_infinite_chain(gen: GeneratorSequence, size: int) -> np.ndarray:
-    """Leading block of the semi-infinite row chain normalized at x = 1.
-
-    Assumes the spectral parameter 1 lies at or above the top of the
-    support, which requires B_n(1) > 0 for every n in range; otherwise
-    NormalizationError is raised.  Rows other than the last are exactly
-    stochastic; the final row is truncated.
-    """
-    T = assemble_truncation(gen, size - 1).dense
-    v = eval_type_ii(gen, size - 1, 1.0)[:size]
-    if v.min() <= 0.0:
-        raise NormalizationError(
-            "monic values at 1 are not all positive; the point 1 lies "
-            "inside the support and cannot normalize the chain")
-    return T * (v[None, :] / v[:, None])
+    """Leading block of the semi-infinite row chain normalized at x = 1:
+    the finite chain of order size - 1 at lam = 1.  Raises
+    NormalizationError unless 1 lies at or above the top of the support
+    (B_n(1) > 0 for every n in range).  The final row is truncated, the
+    others are stochastic."""
+    return finite_chain(gen, size - 1, lam=1).P
 
 
 def km_power(dec: SpectralDecomposition, chain: FiniteChain, n: int) -> np.ndarray:
@@ -228,66 +222,56 @@ def to_stochastic_factors(gen: GeneratorSequence, N: int,
                           lam: float = None) -> StochasticFactorization:
     """Split the row chain into stochastic bidiagonal factors.
 
-    Interleaves diagonal matrices D_p .. D_1 between the bidiagonal
-    factors of T / lam, each chosen to make the factor to its left row
-    stochastic, starting from the upper factor.  With lam = None the
-    truncation's largest eigenvalue is used (the finite chain); lam = 1
-    gives the semi-infinite normalization.  mpf(lam) is taken at 60
-    digits, so the mpf that _polished_top returns passes through exactly
-    and a caller holding it saves a spectral solve and a polish.
+    The row chain is P = A_1 ... A_{p+1} with A_1 = inv(V) L_1,
+    A_a = L_a for a = 2..p and A_{p+1} = U V / lam, where V = diag(v)
+    holds the monic values at lam.  One right-to-left sweep takes
+    x_{p+1} = 1 and x_{a-1} = A_a x_a; then F_a = inv(diag(x_{a-1})) A_a
+    diag(x_a) is row stochastic, with F_1 taking v in place of
+    x_0 = P 1 = 1, and P = F_1 ... F_{p+1}: Pi_a = F_a and
+    Upsilon = F_{p+1}.  With lam =
+    None the truncation's largest eigenvalue is used (the finite chain);
+    lam = 1 gives the semi-infinite normalization.  mpf(lam) is taken at
+    60 digits, so the mpf that _polished_top returns passes through
+    exactly and a caller holding it saves a spectral solve and a polish.
     """
     import mpmath
     p = gen.p
     lowers, u_diag = _bidiagonal_factors(gen, N)
     # the row-sum identities evaluate the monic family exactly at the
-    # normalization point, so the point and the interleaving are computed
-    # at extended precision and only the final factors are floats
+    # normalization point, so the point and the sweep are computed at
+    # extended precision and only the final factors are floats
     with mpmath.workdps(60):
         lam_mp = _polished_top(gen, N) if lam is None else mpmath.mpf(lam)
         v = eval_type_ii(gen, N, lam_mp, use_mp=True)[:N + 1]
         if min(v) <= 0:
             raise NormalizationError("monic values at the normalization "
                                      "point must be positive")
-        lowers = [np.array([mpmath.mpf(x) for x in s], dtype=object)
-                  for s in lowers]
-        u_mp = np.array([mpmath.mpf(x) for x in u_diag], dtype=object)
-        # D_1 makes Upsilon = D_1 U' inv(diag(1/v)) stochastic.
-        w = np.empty(N + 1, dtype=object)
-        w[:-1] = (u_mp[:-1] * v[:-1] + v[1:]) / lam_mp
-        w[-1] = u_mp[-1] * v[-1] / lam_mp
-        d = [1.0 / w]                              # d[j-1] holds diag of D_j
-        for j in range(1, p):                      # D_{j+1} from L_{p-j+1}
-            sub = lowers[p - j]
-            w = 1.0 / d[j - 1]
-            w[1:] = w[1:] + sub / d[j - 1][:-1]
-            d.append(1.0 / w)
-        d1 = d[0]
-        ups_diag = d1 * u_mp * v / lam_mp
-        ups_super = d1[:-1] * v[1:] / lam_mp
-        pi_sub, pi_diag = [], []
-        # Pi_1 = diag(1/v) L_1 inv(D_p)
-        pi_diag.append(1.0 / (v * d[p - 1]))
-        pi_sub.append(lowers[0] / (v[1:] * d[p - 1][:-1]))
-        for a in range(2, p + 1):                  # Pi_a = D_{p-a+2} L_a inv(D_{p-a+1})
-            left, right = d[p - a + 1], d[p - a]
-            pi_diag.append(left / right)
-            pi_sub.append(lowers[a - 1] * left[1:] / right[:-1])
-        lam_out = float(lam_mp)
-        fl = lambda arr: np.array([float(x) for x in arr])
+        mp = lambda arr: np.array([mpmath.mpf(t) for t in arr], dtype=object)
+        u = mp(u_diag)                               # U: unit superdiagonal
+        x = np.append(u[:-1] * v[:-1] + v[1:], u[-1] * v[-1]) / lam_mp
+        ups = (u * v / (lam_mp * x), v[1:] / (lam_mp * x[:-1]))
+        pis = []
+        for a in range(p, 0, -1):                    # x holds x_a
+            sub = mp(lowers[a - 1])
+            left = v if a == 1 else np.append(x[0], x[1:] + sub * x[:-1])
+            pis.insert(0, (x / left, sub * x[:-1] / left[1:]))
+            x = left
         return StochasticFactorization(
-            p=p, N=N, lam=lam_out,
-            pi_subdiags=tuple(fl(s) for s in pi_sub),
-            pi_diags=tuple(fl(t) for t in pi_diag),
-            upsilon_diag=fl(ups_diag), upsilon_super=fl(ups_super))
+            p=p, N=N, lam=float(lam_mp),
+            pi_subdiags=tuple(s.astype(float) for _, s in pis),
+            pi_diags=tuple(d.astype(float) for d, _ in pis),
+            upsilon_diag=ups[0].astype(float),
+            upsilon_super=ups[1].astype(float))
 
 
 def factors_to_alphas(fac: StochasticFactorization) -> np.ndarray:
     """Recover the generator values from the stochastic factors.
 
-    Inverts the interleaving in closed form: the per-state products of the
-    factor diagonals give the chain superdiagonal, which rebuilds the
-    similarity weights; the diagonal matrices then unwind one by one.  No
-    matrix factorization is needed.  Returns alpha_1 .. alpha_{1+(p+1)N}.
+    Inverts the sweep of to_stochastic_factors in closed form: the
+    per-state products of the factor diagonals give the chain
+    superdiagonal, which rebuilds t = 1 / v; the sweep vectors x_a then
+    unwind one by one.  No matrix factorization is needed.  Returns
+    alpha_1 .. alpha_{1+(p+1)N}.
     """
     p, N, lam = fac.p, fac.N, fac.lam
     c = np.prod(np.vstack(fac.pi_diags), axis=0)
@@ -296,8 +280,8 @@ def factors_to_alphas(fac: StochasticFactorization) -> np.ndarray:
     t[0] = 1.0
     for i in range(N):
         t[i + 1] = t[i] / (lam * p_super[i])
-    # D_{p-a+1} diagonals via cumulative products of the Pi diagonals.
-    d = np.empty((p, N + 1))                      # d[k-1] = diag of D_k
+    # 1 / x_a via cumulative products of the Pi diagonals
+    d = np.empty((p, N + 1))                      # d[k-1] = 1 / x_{p+1-k}
     run = np.ones(N + 1)
     for a in range(1, p + 1):
         run = run * fac.pi_diags[a - 1]

@@ -54,13 +54,13 @@ class XorShift64Star:
         return (self.next_u64() >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniform_stream(seed: int, count: int, low: float, high: float,
-                   offset: int = 0) -> np.ndarray:
-    """Random-access uniform variates on [low, high).
+def uniform_stream(seed: int, count: int, low: float,
+                   high: float) -> np.ndarray:
+    """Uniform variates on [low, high).
 
-    Element i is a pure function of (seed, offset + i): the splitmix64
-    output folded to a 53-bit double.  Used for seeded generator rules so
-    that alpha_i can be produced lazily at any index.
+    Element i is a pure function of (seed, i): the splitmix64 output
+    folded to a 53-bit double.  Used for seeded generator rules, so that
+    alpha_i does not depend on how many alphas are drawn.
     """
-    u = (splitmix64(seed, count, offset=offset) >> _U64(11)).astype(np.float64)
+    u = (splitmix64(seed, count) >> _U64(11)).astype(np.float64)
     return low + (high - low) * u * _INV_2_53

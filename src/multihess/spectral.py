@@ -346,7 +346,9 @@ def decompose(gen: GeneratorSequence, N: int,
     cluster asks for more digits) and rebuilt until the digits exceed by
     26 the log10 of that magnitude, read from float copies of the tables.
     If an entry lies beyond double range, the float products turn inf or
-    nan and the magnitude is bounded above from binary exponents."""
+    nan and the magnitude is bounded above from binary exponents.  Raises
+    IllConditionedSpectrumError when the weights of a measure miss its
+    total mass by more than 1e-8 relative."""
     if init is None:
         init = initial_conditions(gen)
     lams = eigenvalues(gen, N, use_mp=use_mp)
@@ -390,6 +392,13 @@ def decompose(gen: GeneratorSequence, N: int,
         U = B[:N + 1].copy()
         W = (R[1:N + 2] / dB[N + 1]).T.copy()
         mu = W[:, :gen.p] @ init.nu_inv_T
+    # measure a carries the exact total mass top_row[a]; NaN passes, so a
+    # NaN table still reaches the emitter's refusal
+    for a, (total, mass) in enumerate(zip(mu.sum(axis=0), init.top_row), 1):
+        if abs(total - mass) > 1e-8 * abs(mass):
+            raise IllConditionedSpectrumError(
+                f"the weights of measure {a} sum to {float(total):.6g}, not "
+                f"to its total mass {mass:.6g}; use extended precision")
     return SpectralDecomposition(gen=gen, N=N, init=init, lams=lams,
                                  U=U, W=W, mu=mu, use_mp=use_mp,
                                  dps=dps if use_mp else 0)

@@ -117,6 +117,19 @@ def test_config_errors(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("desc", [
+    {"p": 0, "alphas": {"kind": "constant", "value": 1.0}},
+    {"p": 1, "alphas": {"kind": "list", "values": [1.0, 0.0, 2.0]}}],
+    ids=["p0", "list_alpha0"])
+def test_invalid_generator_description_exits_2(desc, tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(desc))
+    code = main(["spectrum", "--input", str(path), "--order", "2"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG and out == ""
+    assert "configuration error: invalid generator description" in err
+
+
 def test_numeric_error_exit(tmp_path, capsys):
     # T's entries near 1e80 overflow the double tables, and the emitter
     # refuses their non-finite weights
@@ -126,6 +139,51 @@ def test_numeric_error_exit(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == EXIT_NUMERIC
     assert "non-finite value cannot be serialized" in err
+
+
+# double weights that miss their measure's total mass: an eigenvalue pair
+# at 2.0 whose weights come out as 0.263 and 1.1e-44 (0.25 each in
+# extended precision), and a p = 3 table with a weight of -1.04e5
+_PAIR_P1 = {"p": 1, "alphas": {"kind": "periodic",
+                               "values": [1.0, 1.0, 1e-12, 1.0]}}
+_SPLIT_P3 = {"p": 3, "alphas": {"kind": "periodic",
+                                "values": [2.0, 1e-10, 1.0]}}
+
+
+@pytest.mark.parametrize("desc", [_PAIR_P1, _SPLIT_P3], ids=["p1", "p3"])
+def test_double_weights_off_their_total_mass_exit_3(desc, tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(desc))
+    monkeypatch.delenv("MULTIHESS_PRECISION", raising=False)
+    code = main(["spectrum", "--input", str(path), "--order", "10"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NUMERIC and out == ""
+    assert "the weights of measure 1 sum to" in err
+    assert "use extended precision" in err
+
+
+def test_extended_weights_keep_their_total_mass(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(_PAIR_P1))
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, doc = _run(["spectrum", "--input", str(path), "--order", "10"],
+                     capsys)
+    assert code == EXIT_OK
+    assert doc["total_masses"] == pytest.approx([1.0], rel=1e-14)
+
+
+def test_spectrum_not_separable_in_double_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"p": 2, "alphas": {
+        "kind": "periodic", "values": [1.0, 1e-8]}}))
+    monkeypatch.delenv("MULTIHESS_PRECISION", raising=False)
+    code = main(["spectrum", "--input", str(path), "--order", "20"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NUMERIC and out == ""
+    assert "numeric error: " in err and "not separable" in err
 
 
 _NEGATIVE = "argument --order: must be >= 0"

@@ -10,10 +10,12 @@ polish stopped at convergence).  `verify_tight_p3` and
 exactness profile and extended sharpness scan each compared moments with
 their own loop; the first fails its biorthogonality check and three
 moment checks at its tolerance, so its digest pins each moment error
-against that tolerance.  Changes meant to keep every float operation
-must leave these digests alone; a change that deliberately alters an
-output (a new field, the version string, another root route) has to
-record them again.
+against that tolerance.  `chain_csv_p2`, the transition matrix as CSV,
+was recorded from the program whose five commands each loaded the
+generator, wrote their header and picked their exit code themselves.
+Changes meant to keep every float operation must leave these digests
+alone; a change that deliberately alters an output (a new field, the
+version string, another root route) has to record them again.
 """
 
 import hashlib
@@ -81,6 +83,8 @@ CASES = [
      ["quadrature", "--measure", "2", "--nodes", "12", "--check"],
      "extended",
      "167e299d71e36a83e4edd554350199f961f0f90a5d595ca9f29d45d14911d291"),
+    ("chain_csv_p2", 2, 35, ["chain", "--order", "15", "--csv"], None,
+     "838079d113cd2fca7fe192665ae41d76f793b1d793334029360bac2aad86329b"),
 ]
 # cases whose verify checks fail, and so exit with EXIT_VERIFY
 FAILING = {"verify_tight_p3"}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from multihess import (GeneratorSequence, InvalidInputError, PoleError,
+from multihess import (GeneratorSequence, IllConditionedSpectrumError,
+                       InvalidInputError, PoleError,
                        assemble_truncation, decompose, eigenvalue_pair,
                        eigenvalues, interlacing_check, moments_matvec,
                        weyl_partial_fractions, weyl_rational,
@@ -415,3 +416,57 @@ def test_exact_products_carry_nan():
     with np.errstate(invalid="ignore"):
         dec.U = dec.U * np.nan
     assert all(np.isnan(r) for r in dec.biorthogonality_residuals())
+
+
+def _spy_mp_roots(monkeypatch):
+    calls, real = [], spectral._mp_roots
+
+    def spy(gen, N):
+        calls.append(N)
+        return real(gen, N)
+
+    monkeypatch.setattr(spectral, "_mp_roots", spy)
+    return calls
+
+
+def test_uncertified_start_falls_back_to_the_polynomial_solver(monkeypatch):
+    # the LAPACK start fails its certificate here; the high-precision
+    # roots, rounded to doubles, pass it
+    g = GeneratorSequence.periodic(2, [1.0, 1e-6])
+    assert spectral._start_roots(g, 10) is None
+    calls = _spy_mp_roots(monkeypatch)
+    lams = eigenvalues(g, 10)
+    assert calls == [10]
+    assert _certified(lams[::-1], _band(g, 10))
+    ext = eigenvalues(g, 10, use_mp=True).astype(float)
+    assert np.allclose(lams, ext, rtol=1e-14, atol=0.0)
+
+
+def test_fallback_roots_not_separable_in_double_precision():
+    g = GeneratorSequence.periodic(2, [1.0, 1e-8])
+    with pytest.raises(IllConditionedSpectrumError, match="not separable"):
+        eigenvalues(g, 20)
+
+
+def test_extended_spectrum_takes_the_cluster_detour(monkeypatch):
+    # the start certifies, but two of its roots lie 1.7e-16 apart relative
+    # to the largest: the extended spectrum comes from the polynomial
+    # solver, not from a Newton polish of the start
+    import mpmath
+    g = GeneratorSequence.periodic(1, [1.0, 1.0, 1e-12, 1.0])
+    start = spectral._start_roots(g, 10)
+    assert start is not None
+    assert np.diff(start).min() < 1e-12 * start.max()
+    calls = _spy_mp_roots(monkeypatch)
+    lams = eigenvalues(g, 10, use_mp=True)
+    assert calls == [10]
+    assert all(a > b for a, b in zip(lams, lams[1:]))
+    # every L_k is unit triangular, so det T is the product of U's
+    # diagonal alpha_{1 + 2i}, five of them 1e-12: sum log lam = sum log u
+    u = g.alphas(g.required_alphas(10))[::2]
+    with mpmath.workdps(50):
+        gap = (mpmath.fsum(mpmath.log(x) for x in lams)
+               - mpmath.fsum(mpmath.log(mpmath.mpf(x)) for x in u))
+        assert abs(gap) < mpmath.mpf(10) ** -30
+        assert abs(mpmath.fsum(mpmath.log(x) for x in lams)
+                   - mpmath.log(mpmath.mpf(10) ** -60)) < 1e-15
