@@ -17,13 +17,11 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, MultihessError
 from .generator import generator_from_json
-from .markov import (_polished_top, finite_chain, recurrence_diagnostic,
-                     stationary_distribution, to_stochastic_factors)
+from .markov import (_polished_top, chain_stationary, finite_chain,
+                     recurrence_diagnostic, to_stochastic_factors)
 from .montecarlo import simulate_chain
 from .quadrature import exactness_profile, gauss_rule
 from .serialize import (factors_to_csv, matrix_to_csv, spectrum_to_csv,
@@ -62,14 +60,6 @@ def _decompose(gen, N: int, **kw):
     return decompose(gen, N, **kw)
 
 
-def _floats(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
-
-
-def _rows(arr) -> list:
-    return [[float(v) for v in row] for row in np.asarray(arr)]
-
-
 def _write(args, doc: dict, csv_text: str | None):
     text = to_json(doc)
     if args.output:
@@ -90,9 +80,9 @@ def _cmd_spectrum(args, gen):
     return {
         "order": args.order,
         "precision": "extended" if use_mp else "double",
-        "eigenvalues": _floats(lams),
-        "weights": _rows(mu),
-        "total_masses": _floats(mu.sum(axis=0)),
+        "eigenvalues": lams,
+        "weights": mu,
+        "total_masses": mu.sum(axis=0),
     }, spectrum_to_csv(lams, mu) if args.csv else None
 
 
@@ -102,8 +92,8 @@ def _cmd_quadrature(args, gen):
     rule = gauss_rule(gen, args.measure, args.nodes, dec=dec)
     fields = {
         "measure": args.measure,
-        "nodes": _floats(rule.nodes),
-        "weights": _floats(rule.weights),
+        "nodes": rule.nodes,
+        "weights": rule.weights,
         "degree": rule.degree,
     }
     if args.check:
@@ -120,18 +110,19 @@ def _cmd_chain(args, gen):
     lam = _polished_top(gen, args.order, start=float(dec.lams[0]))
     chain = finite_chain(gen, args.order, kind=args.kind, lam=lam)
     diag = recurrence_diagnostic(dec, l=args.state)
+    pi = chain_stationary(chain)
     fields = {
         "order": args.order,
         "kind": args.kind,
-        "lam": float(chain.lam),
-        "transition_matrix": _rows(chain.P),
-        "stationary": _floats(stationary_distribution(dec)),
+        "lam": chain.lam,
+        "transition_matrix": chain.P,
+        "stationary": pi,
         "recurrence": {
             "state": args.state,
             "s_exponents": diag["s_exponents"],
-            "first_return_values": _floats(diag["values"]),
+            "first_return_values": diag["values"],
             "monotone": diag["monotone"],
-            "recurrent": diag["recurrent"],
+            "recurrent": diag["monotone"] and pi[args.state] > 0.0,
         },
     }
     if not args.csv:
@@ -153,9 +144,9 @@ def _cmd_simulate(args, gen):
         "start": args.start,
         "steps": args.steps,
         "trials": args.trials,
-        "counts": [int(c) for c in report.counts],
-        "reference": _floats(report.reference),
-        "z_scores": _floats(report.z_scores),
+        "counts": report.counts,
+        "reference": report.reference,
+        "z_scores": report.z_scores,
         "max_abs_z": report.max_abs_z(),
     }, None
 
@@ -168,10 +159,11 @@ def _cmd_verify(args, gen):
     r1, r2 = dec.biorthogonality_residuals()
     if not (r1 <= args.tolerance and r2 <= args.tolerance):
         failures.append(f"biorthogonality residual {max(r1, r2):.3e}")
-    lams, mu = dec.lams.astype(float), dec.mu.astype(float)
-    if not (lams.min() > 0.0 and np.all(np.diff(lams) < 0.0)):
-        failures.append("spectrum is not positive and strictly ordered")
-    if not mu.min() > 0.0:
+    with dec.workprec():        # extended roots closer than a double ulp
+        lams = dec.lams
+        if not (lams[-1] > 0 and all(a > b for a, b in zip(lams, lams[1:]))):
+            failures.append("spectrum is not positive and strictly ordered")
+    if not dec.mu.astype(float).min() > 0.0:
         failures.append("a Christoffel weight is not positive")
     for a in range(1, gen.p + 1):
         errors = _moment_errors(dec, a, min(2 * N, 10), N)

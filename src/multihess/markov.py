@@ -21,8 +21,8 @@ from .errors import InvalidInputError, NormalizationError
 from .generator import GeneratorSequence
 from .pbf import assemble_truncation, _bidiagonal_factors
 from .polynomials import eval_truncated, eval_type_ii
-from .spectral import (SpectralDecomposition, _mp_matmul, _mp_polish,
-                       eigenvalues)
+from .spectral import (SpectralDecomposition, _gth_stationary, _mp_matmul,
+                       _mp_polish, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,17 @@ def stationary_distribution(dec: SpectralDecomposition) -> np.ndarray:
     """
     with dec.workprec():
         return np.asarray(dec.U[:, 0] * dec.W[0, :], dtype=float)
+
+
+def chain_stationary(chain: FiniteChain) -> np.ndarray:
+    """Stationary vector of the chain by state reduction on its own P,
+    accurate in every entry however small.  The type I matrix has one
+    subdiagonal where the type II has one superdiagonal, so its states
+    are reduced in reverse order."""
+    P = chain.P if chain.kind == "type_ii" else chain.P[::-1, ::-1]
+    pi = _gth_stationary(np.diag(P, 1), [np.diag(P, -j) for j in
+                                         range(1, chain.gen.p + 1)])
+    return pi if chain.kind == "type_ii" else pi[::-1]
 
 
 def stationary_power_iteration(P: np.ndarray) -> np.ndarray:

@@ -235,28 +235,19 @@ def eval_second_kind(gen: GeneratorSequence, N: int, x,
 
 
 def _det(M: np.ndarray):
-    """Determinant by Laplace expansion; works for object (mpmath) arrays.
-    Only used on p x p blocks, so the factorial cost is irrelevant."""
-    n = M.shape[0]
-    if n == 1:
+    """Determinant by Laplace expansion along the first row; works for
+    object (mpmath) arrays.  Only used on p x p blocks, so the factorial
+    cost is irrelevant."""
+    if M.shape[0] == 1:
         return M[0, 0]
-    acc = 0
-    sign = 1
-    for j in range(n):
-        minor = np.delete(M[1:], j, axis=1)
-        acc = acc + sign * M[0, j] * _det(minor)
-        sign = -sign
-    return acc
+    return sum((-1) ** j * M[0, j] * _det(np.delete(M[1:], j, axis=1))
+               for j in range(M.shape[0]))
 
 
 def _q_from_table(A: np.ndarray, N: int, n: int):
-    """Q_{n,N} given a precomputed dual-value table of length >= N+p."""
-    p = A.shape[0]
-    M = np.empty((p, p), dtype=A.dtype)
-    M[0] = A[:, n]
-    for r in range(1, p):
-        M[r] = A[:, N + r]
-    return _det(M)
+    """Q_{n,N} given a precomputed dual-value table of length >= N+p:
+    the determinant of rows A[:, n], A[:, N+1], ..., A[:, N+p-1]."""
+    return _det(A[:, [n] + list(range(N + 1, N + A.shape[0]))].T)
 
 
 def q_oracle(gen: GeneratorSequence, N: int, n: int, x,
@@ -328,7 +319,4 @@ def determinantal_identity(gen: GeneratorSequence, n: int, x,
     B = eval_type_ii(gen, n, float(x))
     h = h_values(gen, n + 1)
     A = eval_type_i(gen, n + p, float(x), init)
-    M = np.empty((p, p))
-    for r in range(p):
-        M[r] = A[:, n + r]
-    return float(B[n]), float(h[n] * np.linalg.det(M))
+    return float(B[n]), float(h[n] * np.linalg.det(A[:, n:n + p].T))

@@ -55,10 +55,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def integrate_power(self, n: int) -> float:
         return float(np.dot(self.weights, self.nodes ** n))
 

@@ -1,13 +1,16 @@
 """Deterministic JSON and CSV emitters.
 
-Floats are rendered with %.17g so round-tripping is exact and repeated
-runs produce byte-identical output; dict keys keep insertion order, which
-the emitting code treats as the documented field order.
+JSON is the standard library's encoder with an indent of 2: dict keys
+keep insertion order, which the emitting code treats as the documented
+field order, and numpy arrays and scalars become lists and plain values.
+Floats print as their shortest round-trip repr in JSON and CSV alike, so
+every value reads back bit for bit and repeated runs produce
+byte-identical output; a non-finite value is refused.
 """
 
 from __future__ import annotations
 
-import io
+import json
 
 import numpy as np
 
@@ -18,55 +21,24 @@ def format_float(x) -> str:
     v = float(x)
     if v != v or v in (float("inf"), float("-inf")):
         raise InvalidInputError("non-finite value cannot be serialized")
-    return "%.17g" % v
+    return repr(v)
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            if not isinstance(k, str):
-                raise InvalidInputError("JSON keys must be strings")
-            out.write(pad_in + '"%s": ' % k)
-            _emit(v, out, indent, level + 1)
-            out.write(",\n" if i < len(items) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist() if isinstance(obj, np.ndarray) else obj)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, v in enumerate(seq):
-            out.write(pad_in)
-            _emit(v, out, indent, level + 1)
-            out.write(",\n" if i < len(seq) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(format_float(obj))
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise InvalidInputError(f"cannot serialize object of type {type(obj)!r}")
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
-def to_json(obj, indent: int = 2) -> str:
-    out = io.StringIO()
-    _emit(obj, out, indent, 0)
-    out.write("\n")
-    return out.getvalue()
+def to_json(obj) -> str:
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False,
+                          default=_plain) + "\n"
+    except ValueError as exc:
+        raise InvalidInputError(
+            "non-finite value cannot be serialized") from exc
+    except TypeError as exc:
+        raise InvalidInputError(str(exc)) from exc
 
 
 def matrix_to_csv(M: np.ndarray, header: str = "i,j,value") -> str:

@@ -276,6 +276,53 @@ def _mp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gth_stationary(sup, sub) -> np.ndarray:
+    """Stationary vector of the chain on states 0..N whose one upward step
+    is sup[k] = P[k, k+1] and whose downward steps are sub[j][i] =
+    P[i+j+1, i], by Grassmann-Taksar-Heyman state reduction in O(Np).
+    Censoring state k adds f_k = P[k-1, k] / s_k times row k's downward
+    steps to row k-1, s_k the mass row k sends below; pi_k = pi_{k-1} f_k.
+    Nothing is subtracted, so each entry keeps the relative accuracy of
+    P's (O'Cinneide, Numer. Math. 65, 1993), whatever P's scale."""
+    sup = np.asarray(sup, float).tolist()
+    sub = [np.asarray(d, float).tolist() for d in sub]
+    low = [[d[k - 1 - j] for j, d in enumerate(sub[:k])]
+           for k in range(len(sup) + 1)]        # low[k][j] = P[k, k-1-j]
+    f = [1.0] * len(low)
+    for k in range(len(sup), 0, -1):
+        f[k] = sup[k - 1] / sum(low[k])
+        for j, v in enumerate(low[k][1:]):
+            low[k - 1][j] += f[k] * v
+    pi = np.cumprod(f)
+    return pi / pi.sum()
+
+
+def _perron_stationary(gen: GeneratorSequence, N: int, lam: float, b):
+    """(pi, b): state reduction on D^-1 T D, D = diag(b), for b_n = B_n(lam)
+    from the forward recurrence at the top eigenvalue, and the b it used.
+    That recurrence loses the decaying tail of B_n(lam) to cancellation
+    where eps Bh_n, Bh the recurrence on absolute values, reaches |b_n|;
+    when more than 1e-8 of pi sits there, b is taken again at 60 digits,
+    at lam polished to 60 digits, as the chains' similarity weights are."""
+    band = band_diagonals(gen, N)
+    t, Bh = [d.tolist() for d in band], [1.0]
+    for n in range(N):
+        Bh.append(abs(lam - t[0][n]) * Bh[n] + sum(
+            t[j][n - j] * Bh[n - j] for j in range(1, min(gen.p, n) + 1)))
+
+    def reduce(b):
+        return _gth_stationary(b[1:] / b[:-1], [
+            d * (b[:-j] / b[j:]) for j, d in enumerate(band[1:], 1)])
+    pi = reduce(b)
+    if np.abs(pi[2.0 ** -53 * np.array(Bh) >= np.abs(b)]).sum() > 1e-8:
+        import mpmath
+        with mpmath.workdps(60):
+            x = _mp_polish(gen, N, [lam], dps=60)
+            b = eval_type_ii(gen, N, x, use_mp=True)[:N + 1, 0].astype(float)
+        pi = reduce(b)
+    return pi, b
+
+
 @dataclass
 class SpectralDecomposition:
     """Eigenvalue decomposition T = U diag(lams) W with polynomial tables.
@@ -343,10 +390,12 @@ def decompose(gen: GeneratorSequence, N: int,
     In extended mode the sums WU and UW cancel terms as large as
     max(|W||U|, |U||W|), so the digits adapt: the tables are built on the
     eigenvalues() polished at _MP_DPS (polished again when a tight
-    cluster asks for more digits) and rebuilt until the digits exceed by
-    26 the log10 of that magnitude, read from float copies of the tables.
-    If an entry lies beyond double range, the float products turn inf or
-    nan and the magnitude is bounded above from binary exponents.  Raises
+    cluster or a wide spread lambda_max / lambda_min asks for more digits)
+    and rebuilt until the digits exceed by 26 the log10 of that magnitude,
+    read from float copies of the tables.  If an entry lies beyond double
+    range, the float products turn inf or nan and the magnitude is
+    bounded above from binary exponents.  In double the top node's
+    weights come from state reduction (_perron_stationary).  Raises
     IllConditionedSpectrumError when the weights of a measure miss its
     total mass by more than 1e-8 relative."""
     if init is None:
@@ -354,14 +403,16 @@ def decompose(gen: GeneratorSequence, N: int,
     lams = eigenvalues(gen, N, use_mp=use_mp)
     if use_mp:
         import mpmath
-        # Keep enough digits that the tightest cluster stays resolved
-        # through the polish.
+        # Keep enough digits that the tightest cluster, and the smallest
+        # root beside the largest, stay resolved through the polish.
         desc = list(lams)
         relgap = min((a - b for a, b in zip(desc, desc[1:])),
                      default=0) / desc[0]
         dps = _MP_DPS
         if relgap > 0:
             dps = max(dps, int(-mpmath.log10(relgap)) + 15)
+        if desc[-1] > 0:
+            dps = max(dps, int(mpmath.log10(desc[0] / desc[-1])) + 15)
         for _ in range(5):
             lams_mp = (_mp_polish(gen, N, lams, dps=dps) if dps > _MP_DPS
                        else lams)
@@ -392,6 +443,10 @@ def decompose(gen: GeneratorSequence, N: int,
         U = B[:N + 1].copy()
         W = (R[1:N + 2] / dB[N + 1]).T.copy()
         mu = W[:, :gen.p] @ init.nu_inv_T
+        # The backward recurrence for R cancels at lams[0]; the top row
+        # takes W[0, n] = pi_n / B_n(lams[0]) from state reduction.
+        pi, b = _perron_stationary(gen, N, lams[0], U[:, 0])
+        mu[0] = (pi[:gen.p] / b[:gen.p]) @ init.nu_inv_T
     # measure a carries the exact total mass top_row[a]; NaN passes, so a
     # NaN table still reaches the emitter's refusal
     for a, (total, mass) in enumerate(zip(mu.sum(axis=0), init.top_row), 1):

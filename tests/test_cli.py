@@ -375,8 +375,9 @@ def test_every_command_at_low_orders(p, order, precision, tmp_path, capsys,
 
 def test_quadrature_honours_extended_precision(tmp_path, capsys,
                                                monkeypatch):
-    # the double weights of the top nodes lose relative accuracy here and
-    # the high moments miss by 2.5e-6; the extended tables do not
+    # the double weight of the top node, read from the tables, erred here
+    # and the high moments missed by 2.5e-6; state reduction gives it to
+    # about 1e-15, and the extended tables agree
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({"p": 1, "alphas": {
         "kind": "uniform", "low": 0.5, "high": 2.0, "seed": 118}}))
@@ -385,9 +386,42 @@ def test_quadrature_honours_extended_precision(tmp_path, capsys,
     monkeypatch.delenv("MULTIHESS_PRECISION", raising=False)
     code, double = _run(argv, capsys)
     assert code == EXIT_OK
-    assert max(double["exactness_errors"].values()) > 1e-6
+    assert max(double["exactness_errors"].values()) <= 1e-9
     monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
     code, ext = _run(argv, capsys)
     assert code == EXIT_OK and ext["degree"] == double["degree"] == 39
     assert max(ext["exactness_errors"].values()) < 1e-13
     assert np.allclose(ext["nodes"], double["nodes"], rtol=1e-12, atol=0)
+
+
+def test_chain_with_tiny_stationary_mass_is_recurrent(tmp_path, capsys,
+                                                      monkeypatch):
+    # pi_0 is about 1.84e-30; read from the double tables it came out as
+    # -1.1e-16, and state 0 was called transient
+    from multihess import decompose, generator_from_json
+    from multihess.markov import stationary_distribution
+    desc = {"p": 1, "alphas": {"kind": "uniform", "low": 0.5, "high": 2.0,
+                               "seed": 9}}
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(desc))
+    exact = stationary_distribution(
+        decompose(generator_from_json(json.dumps(desc)), 40, use_mp=True))
+    for precision in ("double", "extended"):
+        monkeypatch.setenv("MULTIHESS_PRECISION", precision)
+        code, doc = _run(["chain", "--input", str(path), "--order", "40"],
+                         capsys)
+        assert code == EXIT_OK and doc["recurrence"]["recurrent"] is True
+        assert abs(doc["stationary"][0] / exact[0] - 1.0) <= 1e-13
+        assert 1e-30 < exact[0] < 1e-29
+
+
+def test_verify_extended_digits_cover_the_spectral_spread(tmp_path, capsys,
+                                                          monkeypatch):
+    # the smallest root, 2.5e-61, beside a root pair at 2.0 that differs by
+    # about 1e-46: 61 digits polished it to 2.5000068e-61
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(_PAIR_P1))
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, doc = _run(["verify", "--input", str(path), "--order", "10"],
+                     capsys)
+    assert code == EXIT_OK and doc["ok"] is True and doc["failures"] == []

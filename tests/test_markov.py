@@ -10,6 +10,7 @@ from multihess import (GeneratorSequence, InvalidInputError, decompose,
                        return_probability_gf, semi_infinite_chain,
                        stationary_distribution,
                        stationary_power_iteration, to_stochastic_factors)
+from multihess.markov import chain_stationary
 
 
 def _chain_case(seed=50, p=2, N=12):
@@ -201,3 +202,19 @@ def test_km_power_extended_equals_fdot_entries(p, N, kind):
             want = np.array([[float(x) for x in row] for row in
                              core * (v[None, :] / v[:, None])])
         assert km_power(dec, ch, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["type_ii", "type_i"])
+@pytest.mark.parametrize("p,N", [(1, 0), (2, 0), (2, 1), (1, 15), (3, 20)])
+def test_chain_stationary_matches_power_iteration_and_dense_solve(p, N,
+                                                                  kind):
+    ch = finite_chain(GeneratorSequence.uniform(p, 0.5, 2.0, seed=60 + N),
+                      N, kind=kind)
+    pi = chain_stationary(ch)
+    A = ch.P.T - np.eye(N + 1)
+    A[-1] = 1.0
+    dense = np.linalg.solve(A, np.r_[np.zeros(N), 1.0])
+    assert pi.min() > 0.0 and abs(pi.sum() - 1.0) < 1e-14
+    assert np.allclose(pi, dense, rtol=1e-12, atol=1e-16)
+    assert np.allclose(pi, stationary_power_iteration(ch.P), rtol=0.0,
+                       atol=1e-10)

@@ -54,3 +54,26 @@ def test_spectrum_csv_shape():
     assert len(lines) == 7
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(float(dec.lams[0]))
+
+
+def test_format_float_is_shortest_repr():
+    assert format_float(0.1) == "0.1"
+    assert format_float(np.float64(1e-300)) == "1e-300"
+    assert format_float(0.0) == "0.0"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"),
+                                   np.array([1.0, np.inf]), np.float32("nan"),
+                                   object(), {1.5j}])
+def test_to_json_refuses_non_finite_and_unknown_values(value):
+    with pytest.raises(InvalidInputError):
+        to_json({"x": [value]})
+
+
+def test_to_json_writes_numpy_values_as_plain_ones():
+    doc = {"i": np.int64(3), "b": np.bool_(True), "f": np.float32(0.5),
+           "a": np.arange(3), "m": np.eye(2, dtype=bool), "e": np.zeros(0)}
+    assert json.loads(to_json(doc)) == {
+        "i": 3, "b": True, "f": 0.5, "a": [0, 1, 2],
+        "m": [[True, False], [False, True]], "e": []}
+    assert to_json([]) == "[]\n" and to_json({}) == "{}\n"

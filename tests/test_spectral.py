@@ -470,3 +470,18 @@ def test_extended_spectrum_takes_the_cluster_detour(monkeypatch):
         assert abs(gap) < mpmath.mpf(10) ** -30
         assert abs(mpmath.fsum(mpmath.log(x) for x in lams)
                    - mpmath.log(mpmath.mpf(10) ** -60)) < 1e-15
+
+
+# benchmark shapes; at p = 1, order 40, seed 12 the double B_n(lam_1)
+# turns negative from n = 36 on, and the top weight stays right.  At
+# (1, 40, 10) and (2, 40, 19) the double recurrence loses B_n(lam_1)'s
+# tail, state reduction on it misses the top weight by 59% and 1.5e-5,
+# and B is evaluated again at 60 digits.
+@pytest.mark.parametrize("p,N,seed", [(1, 20, 36), (2, 30, 4), (3, 35, 5),
+                                      (3, 35, 7), (1, 40, 12), (1, 40, 10),
+                                      (2, 40, 19)])
+def test_double_top_weights_match_extended(p, N, seed):
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=seed)
+    exact = decompose(g, N, use_mp=True).mu[0].astype(float)
+    top = decompose(g, N).mu[0]
+    assert np.all(np.abs(top - exact) <= 1e-12 * exact)
