@@ -68,32 +68,35 @@ def _float_levels(x: np.ndarray, coef: list, derivative: bool) -> list:
     return hist
 
 
-def _levels(gen: GeneratorSequence, N: int, x, derivative: bool,
-            use_mp: bool, forward: bool):
-    """The levels of _steps at x, shape (N+2, len(x)) or (N+2,) for
-    scalar x, and their derivatives (or None)."""
+def _levels(gen: GeneratorSequence, N: int, x, use_mp: bool, forward: bool,
+            rows=slice(None), drows=None):
+    """The levels `rows` (a slice of 0..N+1) of _steps at x, shape
+    (len(rows), len(x)) or (len(rows),) for scalar x, and the derivative
+    levels `drows`, or None for drows=None."""
     pts, scalar = _as_points(x, use_mp)
     if use_mp:
         band, e = band_diagonals(gen, N, exact=True)
-        V, dV = _mp_levels(pts, _steps(band, N, forward), e, derivative)
+        V, dV = _mp_levels(pts, _steps(band, N, forward), e, rows, drows)
     else:
         V = np.array(_float_levels(
-            pts, _steps(_diagonals(gen, N), N, forward), derivative))
-        V, dV = (V[:, 0], V[:, 1]) if derivative else (V, None)
+            pts, _steps(_diagonals(gen, N), N, forward), drows is not None))
+        V, dV = ((V[rows, 0], V[drows, 1]) if drows is not None
+                 else (V[rows], None))
     if scalar:
-        V, dV = V[:, 0], (dV[:, 0] if derivative else None)
+        V, dV = V[:, 0], (None if dV is None else dV[:, 0])
     return V, dV
 
 
-def _mp_levels(pts, coef, e, derivative):
-    """The levels of _steps at the mpf points pts, as mpf object arrays,
-    on the exact band of band_diagonals (band j in units of 2^(e (j+1))).
-    The band and the points become integers over one common binary
-    exponent F, so a level of degree s is an integer times 2^(F s).  Each
-    level is summed exactly from integer products, rounded once to the
-    working precision plus 8 guard bits and stored as (mantissa,
-    exponent); only the stored levels become mpf.  A nan or infinite
-    point gives NaN on every level past v_0."""
+def _mp_levels(pts, coef, e, rows, drows):
+    """The levels `rows` of _steps at the mpf points pts, and the
+    derivative levels `drows` (None: no derivative), as mpf object arrays
+    of one row per level, on the exact band of band_diagonals (band j in
+    units of 2^(e (j+1))).  The band and the points become integers over
+    one common binary exponent F, so a level of degree s is an integer
+    times 2^(F s).  Each level is summed exactly from integer products,
+    rounded once to the working precision plus 8 guard bits and stored as
+    (mantissa, exponent); only the stored levels in rows and drows become
+    mpf.  A nan or infinite point gives NaN on every level past v_0."""
     import mpmath
     xs = [v._mpf_ for v in pts]
     F = min([e] + [exp for _, man, exp, _ in xs if man])
@@ -102,20 +105,27 @@ def _mp_levels(pts, coef, e, derivative):
     back = [[(j, cs[j - 1][s]) for j in range(1, min(len(cs), s) + 1)]
             for s in range(len(d0))]
     bits, mpf = mpmath.mp.prec + 8, mpmath.mpf
-    V = np.full((len(d0) + 1, pts.size), mpmath.nan, dtype=object)
-    V[0] = mpf(1)
-    dV = V * 0 if derivative else None          # 0, then nan
+    levels = range(len(d0) + 1)
+    rows = levels[rows]
+    V = np.full((len(rows), pts.size), mpmath.nan, dtype=object)
+    V[np.equal(rows, 0)] = mpf(1)               # v_0 = 1 at every point
+    if drows is not None:
+        drows = levels[drows]
+        dV = np.full((len(drows), pts.size), mpmath.nan, dtype=object)
+        dV[np.equal(drows, 0)] = mpf(0)
+    else:
+        dV = None
     for col, (sign, man, exp, bc) in enumerate(xs):
         if not man and bc:                      # nan, +inf or -inf
             continue
         X = (-man if sign else man) << (exp - F) if man else 0
         a = [X - d for d in d0]
         v = _int_levels(a, back, None, bits)
-        V[:, col] = [mpf((m, k + F * s)) for s, (m, k) in enumerate(v)]
-        if derivative:
+        V[:, col] = [mpf((v[s][0], v[s][1] + F * s)) for s in rows]
+        if dV is not None:
             dv = _int_levels(a, back, v, bits)
-            dV[:, col] = [mpf((m, k + F * (s - 1)))
-                          for s, (m, k) in enumerate(dv)]
+            dV[:, col] = [mpf((dv[s][0], dv[s][1] + F * (s - 1)))
+                          for s in drows]
     return V, dV
 
 
@@ -157,7 +167,8 @@ def eval_type_ii(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     Returns an array of shape (N+2, len(x)) (and, with derivative=True,
     the elementwise derivative as a second array).
     """
-    B, dB = _levels(gen, N, x, derivative, use_mp, forward=True)
+    B, dB = _levels(gen, N, x, use_mp, True,
+                    drows=slice(None) if derivative else None)
     return (B, dB) if derivative else B
 
 
@@ -169,7 +180,8 @@ def eval_truncated(gen: GeneratorSequence, N: int, x, derivative: bool = False,
     for k = 0..N+1 (R[0] equals B_{N+1} and R[N+1] = 1), computed by the
     backward column-expansion recurrence.
     """
-    V, dV = _levels(gen, N, x, derivative, use_mp, forward=False)
+    V, dV = _levels(gen, N, x, use_mp, False,
+                    drows=slice(None) if derivative else None)
     return (V[::-1], dV[::-1]) if derivative else V[::-1]
 
 

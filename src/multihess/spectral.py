@@ -20,11 +20,12 @@ from .errors import IllConditionedSpectrumError, InvalidInputError, PoleError
 from .generator import GeneratorSequence
 from .pbf import (InitialConditionData, assemble_truncation, band_diagonals,
                   initial_conditions)
-from .polynomials import (_diagonals, _float_levels, _steps,
+from .polynomials import (_diagonals, _float_levels, _levels, _steps,
                           eval_second_kind, eval_truncated, eval_type_ii)
 
 _NEWTON_PASSES = 4
 _MP_DPS = 50
+_TOP = slice(-1, None)        # the level N+1 alone, for polynomials._levels
 
 
 def _bound(band) -> float:
@@ -155,8 +156,8 @@ def _mp_polish(gen: GeneratorSequence, N: int, roots, dps: int = _MP_DPS):
         x = np.array([mpmath.mpf(v) for v in roots], dtype=object)
         tol = mpmath.mpf(10) ** -(dps // 2)
         for _ in range(6):
-            B, dB = eval_type_ii(gen, N, x, derivative=True, use_mp=True)
-            step = B[N + 1] / dB[N + 1]
+            B, dB = _levels(gen, N, x, True, True, _TOP, _TOP)
+            step = B[0] / dB[0]
             x = x - step
             if np.abs(step / x).max() <= tol:
                 break
@@ -417,11 +418,13 @@ def decompose(gen: GeneratorSequence, N: int,
             lams_mp = (_mp_polish(gen, N, lams, dps=dps) if dps > _MP_DPS
                        else lams)
             with mpmath.workdps(dps):
-                B, dB = eval_type_ii(gen, N, lams_mp, derivative=True,
-                                     use_mp=True)
-                R = eval_truncated(gen, N, lams_mp, use_mp=True)
-                U = B[:N + 1].copy()
-                W = (R[1:N + 2] / dB[N + 1]).T.copy()
+                # U[n, k] = B_n(lam_k) for n <= N, and W[k, n] =
+                # R[n+1](lam_k) / B'_{N+1}(lam_k), R[n+1] the backward
+                # level N - n
+                U, dB = _levels(gen, N, lams_mp, True, True, slice(-1), _TOP)
+                R, _ = _levels(gen, N, lams_mp, True, False,
+                               slice(-2, None, -1))
+                W = (R / dB[0]).T.copy()
             Wf, Uf = np.abs(W.astype(float)), np.abs(U.astype(float))
             with np.errstate(over="ignore", invalid="ignore"):
                 top = np.log10(np.max([(Wf @ Uf).max(), (Uf @ Wf).max()]))

@@ -243,3 +243,41 @@ def test_mp_levels_give_nan_at_special_points():
         assert all(mpmath.isnan(v) for v in dB[1:, col])
         assert all(mpmath.isnan(v) for v in R[:7, col])
     assert all(mpmath.isfinite(v) for v in B[:, 3])
+
+
+def _bits(A):
+    return [v._mpf_ for v in np.asarray(A).flat]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("N", [0, 25, 35])
+def test_mp_level_rows_match_full_tables(p, N):
+    # the rows the private path converts are those of the full tables,
+    # bit for bit, at the roots, 0, negative points, nan and +-inf
+    import mpmath
+    from multihess import eigenvalues
+    from multihess.polynomials import _levels
+    from multihess.spectral import _mp_polish
+    g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=11 + N)
+    with mpmath.workdps(50):
+        x = np.concatenate((_mp_polish(g, N, eigenvalues(g, N)), [
+            mpmath.mpf(0), mpmath.mpf(-2.5), mpmath.mpf(-1e3), mpmath.nan,
+            mpmath.inf, -mpmath.inf]))
+        B, dB = eval_type_ii(g, N, x, derivative=True, use_mp=True)
+        R, dR = eval_truncated(g, N, x, derivative=True, use_mp=True)
+        for forward, V, dV in ((True, B, dB), (False, R[::-1], dR[::-1])):
+            for rows in (slice(None), slice(-1, None), slice(-1),
+                         slice(-2, None, -1), slice(0, 1)):
+                got, dgot = _levels(g, N, x, True, forward, rows)
+                assert dgot is None and got.shape == V[rows].shape
+                assert _bits(got) == _bits(V[rows])
+                for drows in (slice(-1, None), slice(None), slice(0, 2)):
+                    got, dgot = _levels(g, N, x, True, forward, rows, drows)
+                    assert _bits(got) == _bits(V[rows])
+                    assert dgot.shape == dV[drows].shape
+                    assert _bits(dgot) == _bits(dV[drows])
+            got, dgot = _levels(g, N, x[0], True, forward, slice(-1, None),
+                                slice(-1, None))
+            assert got.shape == dgot.shape == (1,)
+            assert _bits(got) == _bits(V[-1:, 0])
+            assert _bits(dgot) == _bits(dV[-1:, 0])

@@ -10,7 +10,7 @@ from multihess import (GeneratorSequence, IllConditionedSpectrumError,
                        weyl_partial_fractions, weyl_rational,
                        weyl_resolvent)
 import multihess.spectral as spectral
-from multihess.polynomials import eval_type_ii
+from multihess.polynomials import _levels, eval_type_ii
 from multihess.pbf import band_diagonals
 from multihess.spectral import (_MP_DPS, _band, _bound, _certified, _char,
                                 _mp_polish, _mp_roots)
@@ -178,14 +178,31 @@ def test_mp_polish_matches_six_newton_steps(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eval_type_ii(*args, **kwargs)
+        return _levels(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "eval_type_ii", counted)
+    monkeypatch.setattr(spectral, "_levels", counted)
     got = _mp_polish(g, N, start)
-    assert len(calls) <= 3
+    assert 1 <= len(calls) <= 3
     with mpmath.workdps(_MP_DPS):
         worst = max(abs(a - b) / abs(b) for a, b in zip(got, want))
     assert worst <= mpmath.mpf(10) ** -(_MP_DPS - 5)
+
+
+def test_mp_polish_converts_only_the_top_level(monkeypatch):
+    # each Newton step reads B_{N+1} and B'_{N+1} alone, so the private
+    # evaluation returns one row of each, never the whole tables
+    g, N = GeneratorSequence.uniform(2, 0.5, 2.0, seed=7), 30
+    start = eigenvalues(g, N)
+    shapes = []
+
+    def recorded(*args, **kwargs):
+        V, dV = _levels(*args, **kwargs)
+        shapes.append((V.shape, dV.shape))
+        return V, dV
+
+    monkeypatch.setattr(spectral, "_levels", recorded)
+    _mp_polish(g, N, start)
+    assert shapes and all(s == ((1, N + 1), (1, N + 1)) for s in shapes)
 
 
 def test_extended_decompose_polishes_once(monkeypatch):
@@ -195,13 +212,13 @@ def test_extended_decompose_polishes_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eval_type_ii(*args, **kwargs)
+        return _levels(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "eval_type_ii", counted)
+    monkeypatch.setattr(spectral, "_levels", counted)
     dec = decompose(GeneratorSequence.uniform(3, 0.5, 2.0, seed=26), 25,
                     use_mp=True)
     assert dec.dps == _MP_DPS
-    assert len(calls) <= 4          # three Newton steps and the tables
+    assert 3 <= len(calls) <= 5     # three Newton steps and two tables
 
 
 @pytest.mark.parametrize("p,N,seed", [(2, 20, 5), (3, 25, 26)])
