@@ -207,18 +207,23 @@ def script_L(gen: GeneratorSequence) -> np.ndarray:
     d_k = alpha_k alpha_{k+p} ... alpha_{k+(k-2)p} so the last nonzero
     entry is exactly 1.
     """
+    return _script_L(gen, float)
+
+
+def _script_L(gen: GeneratorSequence, num) -> np.ndarray:
+    """script_L with entries of type num, float or mpmath.mpf.  Its sums
+    and products take nonnegative terms only, so every entry keeps the
+    relative precision of num."""
     p = gen.p
+    L = np.array([[num(float(i == j)) for j in range(p)] for i in range(p)])
     if p == 1:
-        return np.eye(1)
+        return L
     lowers, _ = _bidiagonal_factors(gen, p - 1)
-    L = np.zeros((p, p))
-    L[0, 0] = 1.0
     for k in range(2, p + 1):
-        v = np.zeros(p)
-        v[0] = 1.0
+        v = L[:, 0].copy()                      # e_1
         for j in range(k - 2, -1, -1):  # apply L_{k-1} first
             v[1:] += lowers[j] * v[:-1]
-        d_k = np.prod([gen.alpha(k + i * p) for i in range(k - 1)])
+        d_k = np.prod([num(gen.alpha(k + i * p)) for i in range(k - 1)])
         L[:, k - 1] = v / d_k
     return L
 

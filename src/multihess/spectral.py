@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import IllConditionedSpectrumError, InvalidInputError, PoleError
 from .generator import GeneratorSequence
-from .pbf import (InitialConditionData, assemble_truncation, band_diagonals,
-                  initial_conditions)
+from .pbf import (InitialConditionData, _script_L, assemble_truncation,
+                  band_diagonals, initial_conditions, script_L)
 from .polynomials import (_diagonals, _float_levels, _levels, _steps,
                           eval_second_kind, eval_truncated, eval_type_ii)
 
@@ -324,6 +324,16 @@ def _perron_stationary(gen: GeneratorSequence, N: int, lam: float, b):
     return pi, b
 
 
+def _mp_nu_inv_T(gen: GeneratorSequence, init: InitialConditionData):
+    """init.nu_inv_T = script_L C in mpf at the working precision.  The
+    sums of script_L add nonnegative terms, so each entry keeps every
+    digit; C comes back from the double product, exactly when C = I (the
+    unitriangular solve then subtracts only zeros)."""
+    import mpmath
+    C = np.linalg.solve(script_L(gen), init.nu_inv_T)
+    return _script_L(gen, mpmath.mpf) @ C
+
+
 @dataclass
 class SpectralDecomposition:
     """Eigenvalue decomposition T = U diag(lams) W with polynomial tables.
@@ -437,9 +447,7 @@ def decompose(gen: GeneratorSequence, N: int,
             dps = magnitude + 32
         lams = lams_mp
         with mpmath.workdps(dps):
-            nuT = np.array([[mpmath.mpf(v) for v in row]
-                            for row in init.nu_inv_T], dtype=object)
-            mu = W[:, :gen.p] @ nuT
+            mu = W[:, :gen.p] @ _mp_nu_inv_T(gen, init)   # sums cancel
     else:
         B, dB = eval_type_ii(gen, N, lams, derivative=True)
         R = eval_truncated(gen, N, lams)
@@ -500,12 +508,15 @@ def _moment_errors(dec: SpectralDecomposition, a: int, order: int, M: int,
     tables give mu . (lams / 2^s)^n and _chain gives e_0^T S^n D^-1 v_a
     for S of _band(gen, M, s) and D = diag(2^(s i)), exactly, so no large
     T overflows and s = 0 keeps every bit.  With use_mp the extended
-    tables are compared unscaled, in mpf at their own precision."""
+    tables are compared unscaled, in mpf at their own precision, with
+    v_a from _mp_nu_inv_T."""
     gen, v = dec.gen, dec.init.embedded_vector(a, M + 1)
     if use_mp:
         import mpmath
         with dec.workprec():
-            v = [mpmath.mpf(x) for x in v]
+            v = [mpmath.mpf(0)] * (M + 1)
+            m = min(gen.p, M + 1)
+            v[:m] = _mp_nu_inv_T(gen, dec.init)[:m, a - 1]
             refs = _chain(_diagonals(gen, M, True), v, order)
             return [abs(np.sum(dec.mu[:, a - 1] * dec.lams ** n) - m)
                     / max(mpmath.mpf(1), abs(m)) for n, m in enumerate(refs)]

@@ -205,6 +205,27 @@ def test_mp_polish_converts_only_the_top_level(monkeypatch):
     assert shapes and all(s == ((1, N + 1), (1, N + 1)) for s in shapes)
 
 
+def test_extended_weights_build_nu_inv_T_in_mpf(monkeypatch):
+    # mu = W[:, :p] nu^-T cancels here: from the double nu^-T the extended
+    # weight mu_{10,3} came out as -3.3e-18 instead of +3.8e-21
+    import mpmath
+    from multihess import initial_conditions
+    g = GeneratorSequence.periodic(3, [2.0, 1e-10, 1.0])
+    C = np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    dec = decompose(g, 10, use_mp=True)
+    dec_C = decompose(g, 10, init=initial_conditions(g, C), use_mp=True)
+    monkeypatch.setattr(spectral, "_MP_DPS", 120)
+    ref = decompose(g, 10, use_mp=True)
+    with mpmath.workdps(120):
+        assert all(v > 0 for v in dec.mu.flat)
+        assert max(abs(a - b) / b for a, b in zip(dec.mu.flat, ref.mu.flat)
+                   ) <= mpmath.mpf(10) ** -25
+        # mu for C is mu for I times C, a sum of positive terms
+        want = ref.mu @ C
+        assert max(abs(a - b) / b for a, b in zip(dec_C.mu.flat, want.flat)
+                   ) <= mpmath.mpf(10) ** -25
+
+
 def test_extended_decompose_polishes_once(monkeypatch):
     # eigenvalues() polishes at _MP_DPS; at unchanged digits decompose
     # builds its tables on those roots without a second polish.
