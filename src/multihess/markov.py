@@ -20,9 +20,9 @@ import numpy as np
 from .errors import InvalidInputError, NormalizationError
 from .generator import GeneratorSequence
 from .pbf import assemble_truncation, _bidiagonal_factors
-from .polynomials import eval_truncated, eval_type_ii
-from .spectral import (SpectralDecomposition, _gth_stationary, _mp_matmul,
-                       _mp_polish, eigenvalues)
+from .polynomials import eval_truncated
+from .spectral import (SpectralDecomposition, _gth_stationary, _monic_values,
+                       _mp_matmul, _mp_polish, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def finite_chain(gen: GeneratorSequence, N: int, kind: str = "type_ii",
     with mpmath.workdps(60):
         lam_mp = _polished_top(gen, N) if lam is None else mpmath.mpf(lam)
         if kind == "type_ii":
-            vm = eval_type_ii(gen, N, lam_mp, use_mp=True)[:N + 1]
+            lam_mp, vm = _monic_values(gen, N, lam_mp)
         elif kind == "type_i":
             Rm = eval_truncated(gen, N, lam_mp, use_mp=True)
             vm = Rm[1:N + 2] / Rm[1]
@@ -253,7 +253,7 @@ def to_stochastic_factors(gen: GeneratorSequence, N: int,
     # extended precision and only the final factors are floats
     with mpmath.workdps(60):
         lam_mp = _polished_top(gen, N) if lam is None else mpmath.mpf(lam)
-        v = eval_type_ii(gen, N, lam_mp, use_mp=True)[:N + 1]
+        lam_mp, v = _monic_values(gen, N, lam_mp)
         if min(v) <= 0:
             raise NormalizationError("monic values at the normalization "
                                      "point must be positive")

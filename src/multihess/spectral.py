@@ -298,28 +298,66 @@ def _gth_stationary(sup, sub) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _abs_levels(band, lam) -> np.ndarray:
+    """Bh_0 .. Bh_{N+1}, the forward recurrence for B_n(lam) on absolute
+    values over the float band band[j][i] = T[i+j, i] of T^[N].  Level n
+    of the recurrence sums terms up to Bh_n in size, so it loses about
+    log10(Bh_n / |B_n(lam)|) digits to cancellation: many in the decaying
+    tail at the top eigenvalue.  Floats for a float lam; mpf, which no
+    order overflows, for an mpf lam."""
+    Bh = [1.0]
+    for n in range(len(band[0])):
+        Bh.append(abs(lam - band[0][n]) * Bh[n] + sum(
+            band[j][n - j] * Bh[n - j]
+            for j in range(1, min(len(band) - 1, n) + 1)))
+    return np.array(Bh)
+
+
+def _monic_values(gen: GeneratorSequence, N: int, lam):
+    """(lam, b): b = B_0 .. B_N at the mpf lam, taken at 60 digits, or
+    again at 35 more than the digits _abs_levels says they lose when fewer
+    than 25 would remain, up to three times.  A lam that is a root of
+    B_{N+1} at its digits (the top eigenvalue, polished) is polished to
+    the new digits; any other lam is a fixed point and kept."""
+    import mpmath
+    band = [d.tolist() for d in band_diagonals(gen, N)]
+    dps, root = 60, None
+    for raised in range(4):
+        with mpmath.workdps(dps):
+            B = eval_type_ii(gen, N, lam, use_mp=True)
+            Bh = _abs_levels(band, lam)
+            if root is None:
+                root = abs(B[N + 1]) <= mpmath.mpf(10) ** -30 * Bh[N + 1]
+            lost = mpmath.log10(max((h / abs(v) for h, v in
+                                     zip(Bh[:N + 1], B[:N + 1]) if v),
+                                    default=mpmath.mpf(1)))
+        if raised == 3 or not mpmath.isfinite(lost) or lost + 25 <= dps:
+            break
+        dps = int(lost) + 35
+        if root:
+            lam = _mp_polish(gen, N, [lam], dps=dps)[0]
+    return lam, B[:N + 1]
+
+
 def _perron_stationary(gen: GeneratorSequence, N: int, lam: float, b):
     """(pi, b): state reduction on D^-1 T D, D = diag(b), for b_n = B_n(lam)
     from the forward recurrence at the top eigenvalue, and the b it used.
     That recurrence loses the decaying tail of B_n(lam) to cancellation
-    where eps Bh_n, Bh the recurrence on absolute values, reaches |b_n|;
-    when more than 1e-8 of pi sits there, b is taken again at 60 digits,
-    at lam polished to 60 digits, as the chains' similarity weights are."""
+    where eps Bh_n (_abs_levels) reaches |b_n|; when more than 1e-8 of pi
+    sits there, b is taken again by _monic_values at lam polished to 60
+    digits, as the chains' similarity weights are."""
     band = band_diagonals(gen, N)
-    t, Bh = [d.tolist() for d in band], [1.0]
-    for n in range(N):
-        Bh.append(abs(lam - t[0][n]) * Bh[n] + sum(
-            t[j][n - j] * Bh[n - j] for j in range(1, min(gen.p, n) + 1)))
+    Bh = _abs_levels([d.tolist() for d in band], lam)[:N + 1]
 
     def reduce(b):
         return _gth_stationary(b[1:] / b[:-1], [
             d * (b[:-j] / b[j:]) for j, d in enumerate(band[1:], 1)])
     pi = reduce(b)
-    if np.abs(pi[2.0 ** -53 * np.array(Bh) >= np.abs(b)]).sum() > 1e-8:
+    if np.abs(pi[2.0 ** -53 * Bh >= np.abs(b)]).sum() > 1e-8:
         import mpmath
         with mpmath.workdps(60):
-            x = _mp_polish(gen, N, [lam], dps=60)
-            b = eval_type_ii(gen, N, x, use_mp=True)[:N + 1, 0].astype(float)
+            x = _mp_polish(gen, N, [lam], dps=60)[0]
+            b = _monic_values(gen, N, x)[1].astype(float)
         pi = reduce(b)
     return pi, b
 

@@ -218,3 +218,27 @@ def test_chain_stationary_matches_power_iteration_and_dense_solve(p, N,
     assert np.allclose(pi, dense, rtol=1e-12, atol=1e-16)
     assert np.allclose(pi, stationary_power_iteration(ch.P), rtol=0.0,
                        atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [19, 14, 10])
+def test_type_ii_chain_keeps_its_tail_at_order_60(seed):
+    # 60 digits lose the decaying tail of B_n(lam_1) here (seed 19: rows
+    # off by 1.3e-3); the weights raise their digits by the bound on
+    # absolute values, and chain and factors match 150 digits
+    import mpmath
+    from multihess import assemble_truncation, eigenvalues
+    from multihess.markov import _polished_top
+    from multihess.polynomials import eval_type_ii
+    from multihess.spectral import _mp_polish
+    g, N = GeneratorSequence.uniform(1, 0.5, 2.0, seed=seed), 60
+    T = assemble_truncation(g, N).dense
+    with mpmath.workdps(150):
+        lam = _mp_polish(g, N, [eigenvalues(g, N)[0]], dps=150)[0]
+        b = eval_type_ii(g, N, lam, use_mp=True)[:N + 1]
+        want = np.array([[float(T[i, j] / lam * b[j] / b[i]) for j in
+                          range(N + 1)] for i in range(N + 1)])
+    top = _polished_top(g, N)
+    for P in (finite_chain(g, N, lam=top).P,
+              to_stochastic_factors(g, N, lam=top).product()):
+        assert np.abs(P - want).max() <= 1e-12
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
