@@ -4,10 +4,11 @@ banded Hessenberg truncation.
 All evaluators are vectorized over the evaluation points and accept either
 float arrays or object arrays of mpmath numbers (select with use_mp).
 With use_mp, B and R come from one recurrence on Python integers over the
-exact band, rounded once per level (_mp_levels).  The other families run
-on mpf object arrays, whose products put the array first: mpmath formats
-a whole object array on its right for an error message it discards before
-numpy's multiply runs.
+exact band, rounded once per level; only the levels a caller reads become
+mpf (_levels: the public evaluators read all, the extended spectral code
+only its rows).  The other families run on mpf object arrays, whose
+products put the array first: mpmath formats a whole object array on its
+right for an error message it discards before numpy's multiply runs.
 """
 
 from __future__ import annotations

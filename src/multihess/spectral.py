@@ -466,9 +466,8 @@ def decompose(gen: GeneratorSequence, N: int,
             lams_mp = (_mp_polish(gen, N, lams, dps=dps) if dps > _MP_DPS
                        else lams)
             with mpmath.workdps(dps):
-                # U[n, k] = B_n(lam_k) for n <= N, and W[k, n] =
-                # R[n+1](lam_k) / B'_{N+1}(lam_k), R[n+1] the backward
-                # level N - n
+                # U[n, k] = B_n(lam_k), n <= N; W[k, n] = R[n+1](lam_k) /
+                # B'_{N+1}(lam_k), R[n+1] the backward level N - n
                 U, dB = _levels(gen, N, lams_mp, True, True, slice(-1), _TOP)
                 R, _ = _levels(gen, N, lams_mp, True, False,
                                slice(-2, None, -1))
@@ -552,9 +551,9 @@ def _moment_errors(dec: SpectralDecomposition, a: int, order: int, M: int,
     if use_mp:
         import mpmath
         with dec.workprec():
-            v = [mpmath.mpf(0)] * (M + 1)
-            m = min(gen.p, M + 1)
-            v[:m] = _mp_nu_inv_T(gen, dec.init)[:m, a - 1]
+            nuT = _mp_nu_inv_T(gen, dec.init)
+            v = [nuT[i, a - 1] if i < gen.p else mpmath.mpf(0)
+                 for i in range(M + 1)]
             refs = _chain(_diagonals(gen, M, True), v, order)
             return [abs(np.sum(dec.mu[:, a - 1] * dec.lams ** n) - m)
                     / max(mpmath.mpf(1), abs(m)) for n, m in enumerate(refs)]
