@@ -303,8 +303,7 @@ def _abs_levels(band, lam) -> np.ndarray:
     values over the float band band[j][i] = T[i+j, i] of T^[N].  Level n
     of the recurrence sums terms up to Bh_n in size, so it loses about
     log10(Bh_n / |B_n(lam)|) digits to cancellation: many in the decaying
-    tail at the top eigenvalue.  Floats for a float lam; mpf, which no
-    order overflows, for an mpf lam."""
+    tail at the top eigenvalue."""
     Bh = [1.0]
     for n in range(len(band[0])):
         Bh.append(abs(lam - band[0][n]) * Bh[n] + sum(
@@ -316,22 +315,25 @@ def _abs_levels(band, lam) -> np.ndarray:
 def _monic_values(gen: GeneratorSequence, N: int, lam):
     """(lam, b): b = B_0 .. B_N at the mpf lam, taken at 60 digits, or
     again at 35 more than the digits _abs_levels says they lose when fewer
-    than 25 would remain, up to three times.  A lam that is a root of
-    B_{N+1} at its digits (the top eigenvalue, polished) is polished to
-    the new digits; any other lam is a fixed point and kept."""
+    than 25 would remain, up to three times.  A lam at which B_{N+1}
+    vanishes to 30 digits (the top eigenvalue, polished) is polished to
+    the new digits; any other lam is a fixed point and kept.  The bound
+    runs on the band of _band, so it overflows only where T's alphas
+    spread beyond double range; then b keeps 60 digits."""
     import mpmath
-    band = [d.tolist() for d in band_diagonals(gen, N)]
+    k = _shift(gen, N)
+    Bh = _abs_levels(_band(gen, N, k), np.ldexp(float(lam), -k))
     dps, root = 60, None
     for raised in range(4):
         with mpmath.workdps(dps):
             B = eval_type_ii(gen, N, lam, use_mp=True)
-            Bh = _abs_levels(band, lam)
-            if root is None:
-                root = abs(B[N + 1]) <= mpmath.mpf(10) ** -30 * Bh[N + 1]
-            lost = mpmath.log10(max((h / abs(v) for h, v in
-                                     zip(Bh[:N + 1], B[:N + 1]) if v),
-                                    default=mpmath.mpf(1)))
-        if raised == 3 or not mpmath.isfinite(lost) or lost + 25 <= dps:
+        with np.errstate(divide="ignore", invalid="ignore"):  # exact roots
+            bits = (np.log2(Bh) + k * np.arange(N + 2)
+                    - [float(mpmath.mag(v)) for v in B])
+        if root is None:
+            root = bits[N + 1] >= 100
+        lost = bits[:N + 1].max() * np.log10(2.0)
+        if raised == 3 or not np.isfinite(lost) or lost + 25 <= dps:
             break
         dps = int(lost) + 35
         if root:
