@@ -468,12 +468,10 @@ def decompose(gen: GeneratorSequence, N: int,
             lams_mp = (_mp_polish(gen, N, lams, dps=dps) if dps > _MP_DPS
                        else lams)
             with mpmath.workdps(dps):
-                # U[n, k] = B_n(lam_k), n <= N; W[k, n] = R[n+1](lam_k) /
-                # B'_{N+1}(lam_k), R[n+1] the backward level N - n
+                # U[n, k] = B_n(lam_k) for n <= N, with B'_{N+1}(lam_k)
                 U, dB = _levels(gen, N, lams_mp, True, True, slice(-1), _TOP)
-                R, _ = _levels(gen, N, lams_mp, True, False,
-                               slice(-2, None, -1))
-                W = (R / dB[0]).T.copy()
+                R = eval_truncated(gen, N, lams_mp, use_mp=True)
+                W = (R[1:N + 2] / dB[0]).T.copy()
             Wf, Uf = np.abs(W.astype(float)), np.abs(U.astype(float))
             with np.errstate(over="ignore", invalid="ignore"):
                 top = np.log10(np.max([(Wf @ Uf).max(), (Uf @ Wf).max()]))

@@ -239,7 +239,7 @@ def test_extended_decompose_polishes_once(monkeypatch):
     dec = decompose(GeneratorSequence.uniform(3, 0.5, 2.0, seed=26), 25,
                     use_mp=True)
     assert dec.dps == _MP_DPS
-    assert 3 <= len(calls) <= 5     # three Newton steps and two tables
+    assert 3 <= len(calls) <= 4     # three Newton steps and U
 
 
 @pytest.mark.parametrize("p,N,seed", [(2, 20, 5), (3, 25, 26)])
