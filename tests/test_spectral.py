@@ -215,6 +215,7 @@ def test_extended_weights_build_nu_inv_T_in_mpf(monkeypatch):
     dec = decompose(g, 10, use_mp=True)
     dec_C = decompose(g, 10, init=initial_conditions(g, C), use_mp=True)
     monkeypatch.setattr(spectral, "_MP_DPS", 120)
+    monkeypatch.setattr(spectral._mp_polish, "__defaults__", (120,))
     ref = decompose(g, 10, use_mp=True)
     with mpmath.workdps(120):
         assert all(v > 0 for v in dec.mu.flat)
