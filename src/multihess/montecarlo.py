@@ -5,13 +5,18 @@ independent xorshift64* stream whose state is derived from (seed, trial
 index), so the result is a pure function of the inputs — independent of
 chunk size, execution order, or platform — and reruns are byte-identical.
 
-A step counts the row-CDF entries <= u over a window of the row, exactly:
-entries before the row's first nonzero (lo) are 0.0, always counted;
-entries from its last nonzero (hi) to column n-2 repeat one value, as
-adding 0.0 changes nothing; column n-1 is 1.0, never counted as u < 1.  So
-the count is lo plus the comparisons over w = max(hi - lo) + 1 columns
-from lo, the last weighted by the columns it stands for.  lo and hi come
-from P, so any stochastic matrix works; the banded chains have w = p + 2.
+A step counts the row-CDF entries c <= u for u = k * 2**-53 exactly, with
+k = next_u64() >> 11; as c * 2**53 is exact, c <= u exactly when
+K = ceil(c * 2**53) <= k, K clipped at 2**53, which no k reaches (no c >= 1
+is ever counted).  The count runs over a window of the row: entries before
+its first nonzero (lo) are 0, always counted; from its last nonzero (hi)
+to column n-2 they repeat one value; column n-1 is 1.  So it is lo plus the
+comparisons over w = max(hi - lo) + 1 columns from lo, the last weighted by
+the columns it stands for; any stochastic P works, the banded chains have
+w = p + 2.  A next-state (guide) table (Chen and Asau 1974; Devroye 1986,
+III.2.4) holds per state and bucket of the top 8 bits of k the count every
+k of the bucket shares, or -1 where a K splits the bucket; a step is one
+lookup, and the trials on a -1 (about 1% of them) take the exact count.
 """
 
 from __future__ import annotations
@@ -54,10 +59,21 @@ class SimulationReport:
         return float(np.abs(self.z_scores[self.reference > 0.0]).max())
 
 
-def _cdf_window(P: np.ndarray):
-    """(lo, cols, tail) of the windowed step: cols[k, i] is CDF column
-    lo[i] + k of row i (1.0 past column n - 1) and tail[i] the number of
-    columns the last window column stands for."""
+_BITS = 8     # a table entry covers the draws k of one top-8-bit bucket
+
+
+def _count(window, rows, k):
+    """The count of row-CDF entries <= k * 2**-53 of the rows `rows`."""
+    lo, K, tail = window
+    nxt = lo[rows]
+    for c in range(len(K) - 1):
+        nxt = nxt + (K[c][rows] <= k)
+    return nxt + tail[rows] * (K[-1][rows] <= k)
+
+
+def _next_state_table(P: np.ndarray):
+    """(table, window): table[(i << _BITS) | b] is the next state from i of
+    every draw in bucket b, or -1 where a threshold K splits the bucket."""
     n = P.shape[0]
     cdf = np.cumsum(P, axis=1)
     cdf[:, -1] = 1.0
@@ -65,17 +81,21 @@ def _cdf_window(P: np.ndarray):
     lo = nz.argmax(axis=1)
     w = int((n - 1 - nz[:, ::-1].argmax(axis=1) - lo).max()) + 1
     cols = np.take_along_axis(np.hstack((cdf, np.ones((n, w)))),
-                              lo[:, None] + np.arange(w), axis=1).T.copy()
-    return lo, cols, np.maximum(n - lo - w, 0)
+                              lo[:, None] + np.arange(w), axis=1).T
+    K = np.minimum(np.ceil(cols * 2.0 ** 53), 2.0 ** 53).astype(np.int64)
+    window = (lo, K, np.maximum(n - lo - w, 0))
+    edges = np.arange(1 << _BITS, dtype=np.int64) << (53 - _BITS)
+    first, last = (_count(window, np.arange(n)[:, None], edges + d)
+                   for d in (0, (1 << 53 - _BITS) - 1))
+    return np.where(first == last, first, -1).ravel(), window
 
 
-def _step(window, where: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states: per trial, the count of row-CDF entries <= u."""
-    lo, cols, tail = window
-    nxt = lo[where]
-    for k in range(len(cols) - 1):
-        nxt += cols[k][where] <= u
-    nxt += tail[where] * (cols[-1][where] <= u)
+def _table_step(table, window, where: np.ndarray, k: np.ndarray):
+    """Next states of the trials at `where` on the draws k."""
+    nxt = table.take((where << _BITS) | (k >> (53 - _BITS)))
+    split = np.flatnonzero(nxt < 0)
+    if split.size:
+        nxt[split] = _count(window, where[split], k[split])
     return nxt
 
 
@@ -98,14 +118,15 @@ def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
     if (not np.isfinite(P).all() or P.min() < 0.0
             or np.abs(P.sum(axis=1) - 1.0).max() > 1e-12):
         raise InvalidInputError("matrix is not stochastic to tolerance")
-    window = _cdf_window(P)
+    table, window = _next_state_table(P)
     counts = np.zeros(n, dtype=np.int64)
     for base in range(0, trials, chunk):
         m = min(chunk, trials - base)
         rng = XorShift64Star(seed, m, stream_offset=base)
         where = np.full(m, start, dtype=np.intp)
         for _ in range(steps):
-            where = _step(window, where, rng.next_float())
+            k = (rng.next_u64() >> np.uint64(11)).view(np.int64)
+            where = _table_step(table, window, where, k)
         counts += np.bincount(where, minlength=n)
     reference = np.linalg.matrix_power(P, steps)[start]
     freq = counts / trials

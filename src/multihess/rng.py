@@ -50,7 +50,8 @@ class XorShift64Star:
             return x * _XORSHIFT_MULT
 
     def next_float(self) -> np.ndarray:
-        """Uniform doubles in [0, 1) with 53 random bits."""
+        """Uniform doubles in [0, 1), exactly (next_u64() >> 11) * 2**-53;
+        the Monte Carlo step compares those integers instead."""
         return (self.next_u64() >> _U64(11)).astype(np.float64) * _INV_2_53
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from multihess import (GeneratorSequence, InvalidInputError, finite_chain,
                        simulate_chain)
-from multihess.montecarlo import _cdf_window, _step
+from multihess.montecarlo import _next_state_table, _table_step
 from multihess.rng import XorShift64Star, splitmix64, uniform_stream
 
 
@@ -96,6 +96,34 @@ def _dense_step(P, where, u):
     return (cdf[where] <= u[:, None]).sum(axis=1)
 
 
+def _dense_counts(P, start, steps, trials, seed, chunk):
+    """simulate_chain's counts from float draws and _dense_step."""
+    counts = np.zeros(P.shape[0], dtype=np.int64)
+    for base in range(0, trials, chunk):
+        m = min(chunk, trials - base)
+        rng = XorShift64Star(seed, m, stream_offset=base)
+        w = np.full(m, start, dtype=np.intp)
+        for _ in range(steps):
+            w = _dense_step(P, w, rng.next_float())
+        counts += np.bincount(w, minlength=P.shape[0])
+    return counts
+
+
+def _draws(P, state):
+    """Integer draws k (u = k * 2**-53) at and next to every CDF value of
+    the state's row, its float neighbours and every bucket edge, the ends
+    of [0, 1) and random draws."""
+    c = np.cumsum(P[state])
+    c = np.concatenate((c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)))
+    c = np.ldexp(c[c < 1.0], 53)
+    k = np.concatenate((np.floor(c), np.ceil(c))).astype(np.int64)
+    k = np.concatenate((k, np.arange(257, dtype=np.int64) << 45,
+                        [0, 1 << 52], np.random.default_rng(state).integers(
+                            0, 1 << 53, 50)))
+    k = np.unique(np.concatenate((k - 1, k, k + 1)))
+    return k[(k >= 0) & (k < 1 << 53)]
+
+
 def _rows(A, total=1.0):
     A = np.asarray(A, dtype=float)
     return A / A.sum(axis=1, keepdims=True) * total
@@ -109,11 +137,24 @@ def _window_cases():
     # bands of width 4 that run into the last column from row 3 on
     yield "last_column", _rows(np.triu(np.tril(np.ones((7, 7)), 3)))
     # zeros inside the band, at its ends and in its middle; rows short
-    # of 1 by 5e-13 give CDF values below 1 past the band
+    # of 1 by 5e-13 give CDF values below 1 past the band, rows over it
+    # CDF values above 1 before the last column
     A = np.triu(np.tril(np.arange(1.0, 50.0).reshape(7, 7), 2), -2)
     A[1, 2] = A[3, 1] = A[3, 3] = A[4, 6] = A[6, 4] = 0.0
     yield "inner_zeros", _rows(A, 1.0 - 5e-13)
+    yield "overshoot", _rows(A, 1.0 + 5e-13)
+    # CDF values on bucket edges (multiples of 2**-8) and a draw either
+    # side of them
+    e = 2.0 ** -54
+    yield "dyadic", np.array([[0.5, 0.5, 0.0, 0.0, 0.0],
+                              [0.25, 0.5, 0.25, 0.0, 0.0],
+                              [0.0, 1 / 256, 127 / 128, 1 / 256, 0.0],
+                              [0.0, 0.0, 0.25 + e, 0.5, 0.25 - e],
+                              [0.0, 0.0, 0.0, 0.5 - 2 * e, 0.5 + 2 * e]])
     yield "dense", _rows(np.random.default_rng(3).uniform(0.1, 1.0, (6, 6)))
+    # a window as wide as the row: the table is built one column at a time
+    yield "dense_300", _rows(np.random.default_rng(300).uniform(
+        0.1, 1.0, (300, 300)))
     yield "shift", np.roll(np.eye(5), 1, axis=1)           # window width 1
     yield "order_0", finite_chain(g2, 0).P
 
@@ -121,27 +162,18 @@ def _window_cases():
 @pytest.mark.parametrize("name,P", list(_window_cases()),
                          ids=[c[0] for c in _window_cases()])
 def test_windowed_step_equals_dense_step(name, P):
+    # the table step from every state at every draw of _draws equals the
+    # dense step at u = k * 2**-53
     n = P.shape[0]
-    # every CDF value, its neighbours, the ends of [0, 1) and random u,
-    # each from every state
-    c = np.unique(np.cumsum(P, axis=1))
-    u = np.concatenate((c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
-                        [0.0, 0.5, np.nextafter(1.0, 0.0)],
-                        np.random.default_rng(n).uniform(size=50)))
-    u = u[(u >= 0.0) & (u < 1.0)]
-    where = np.repeat(np.arange(n), u.size)
-    u = np.tile(u, n)
-    got = _step(_cdf_window(P), where, u)
-    assert np.array_equal(got, _dense_step(P, where, u))
+    table, window = _next_state_table(P)
+    for state in range(n):
+        k = _draws(P, state)
+        where = np.full(k.size, state, dtype=np.intp)
+        got = _table_step(table, window, where, k)
+        assert np.array_equal(got, _dense_step(P, where, np.ldexp(k, -53)))
     # and whole simulations, across a chunk boundary
     for start in sorted({0, n // 2, n - 1}):
         rep = simulate_chain(P, start, 5, 3000, seed=start, chunk=1024)
-        counts = np.zeros(n, dtype=np.int64)
-        for base in range(0, 3000, 1024):
-            m = min(1024, 3000 - base)
-            rng = XorShift64Star(start, m, stream_offset=base)
-            w = np.full(m, start, dtype=np.intp)
-            for _ in range(5):
-                w = _dense_step(P, w, rng.next_float())
-            counts += np.bincount(w, minlength=n)
-        assert np.array_equal(rep.counts, counts)
+        assert np.array_equal(rep.counts,
+                              _dense_counts(P, start, 5, 3000, start, 1024))
+
