@@ -52,6 +52,13 @@ def _precision() -> bool:
     return mode == "extended"
 
 
+def _in_range(option: str, value: int, low: int, high: int | None = None):
+    """Refuse an option outside [low, high] before any work."""
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"argument --{option}: must be {bound}, got {value}")
+
+
 def _decompose(gen, N: int, **kw):
     """decompose(), refusing orders too low to carry p measures."""
     if N < gen.p - 1:
@@ -87,6 +94,7 @@ def _cmd_spectrum(args, gen):
 
 
 def _cmd_quadrature(args, gen):
+    _in_range("measure", args.measure, 1, gen.p)
     # one solve for the rule and its check; nodes < p is order < p - 1
     dec = _decompose(gen, args.nodes - 1, use_mp=_precision())
     rule = gauss_rule(gen, args.measure, args.nodes, dec=dec)
@@ -106,6 +114,7 @@ def _cmd_quadrature(args, gen):
 def _cmd_chain(args, gen):
     # one spectral solve and one polish of its top eigenvalue serve the
     # chain, its stationary vector, the diagnostic and the factors
+    _in_range("state", args.state, 0, args.order)
     dec = _decompose(gen, args.order, use_mp=_precision())
     lam = _polished_top(gen, args.order, start=float(dec.lams[0]))
     chain = finite_chain(gen, args.order, kind=args.kind, lam=lam)
@@ -134,6 +143,9 @@ def _cmd_chain(args, gen):
 
 
 def _cmd_simulate(args, gen):
+    _in_range("start", args.start, 0, args.order)
+    _in_range("steps", args.steps, 0)
+    _in_range("trials", args.trials, 1)
     chain = finite_chain(gen, args.order, kind=args.kind)
     report = simulate_chain(chain.P, args.start, args.steps, args.trials,
                             args.seed)

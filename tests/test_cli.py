@@ -188,6 +188,7 @@ def test_spectrum_not_separable_in_double_exits_3(tmp_path, capsys,
 
 _NEGATIVE = "argument --order: must be >= 0"
 _FEW_NODES = "a rule for 2 measures needs at least 2 nodes"
+_SIM = ["--steps", "3", "--trials", "5", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -197,13 +198,38 @@ _FEW_NODES = "a rule for 2 measures needs at least 2 nodes"
     (["simulate", "--order", "-1", "--steps", "3", "--trials", "5",
       "--seed", "1"], _NEGATIVE),
     (["quadrature", "--measure", "1", "--nodes", "1"], _FEW_NODES),
-    (["quadrature", "--measure", "1", "--nodes", "0"], _FEW_NODES)],
-    ids=["spectrum", "verify", "chain", "simulate", "nodes1", "nodes0"])
+    (["quadrature", "--measure", "1", "--nodes", "0"], _FEW_NODES),
+    (["quadrature", "--measure", "3", "--nodes", "4"],
+     "argument --measure: must be in [1, 2], got 3"),
+    (["quadrature", "--measure", "0", "--nodes", "4"],
+     "argument --measure: must be in [1, 2], got 0"),
+    (["chain", "--order", "6", "--state", "99"],
+     "argument --state: must be in [0, 6], got 99"),
+    (["chain", "--order", "6", "--state", "-1"],
+     "argument --state: must be in [0, 6], got -1"),
+    (["simulate", "--order", "6", "--start", "99"] + _SIM,
+     "argument --start: must be in [0, 6], got 99"),
+    (["simulate", "--order", "6", "--start", "-1"] + _SIM,
+     "argument --start: must be in [0, 6], got -1"),
+    (["simulate", "--order", "6", "--steps", "-1", "--trials", "5",
+      "--seed", "1"], "argument --steps: must be >= 0, got -1"),
+    (["simulate", "--order", "6", "--steps", "3", "--trials", "0",
+      "--seed", "1"], "argument --trials: must be >= 1, got 0")],
+    ids=["spectrum", "verify", "chain", "simulate", "nodes1", "nodes0",
+         "measure_high", "measure_0", "state_high", "state_negative",
+         "start_high", "start_negative", "steps_negative", "trials_0"])
 def test_sizes_below_range_are_configuration_errors(argv, message, tmp_path,
-                                                    capsys):
+                                                    capsys, monkeypatch):
+    from multihess import cli
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({"p": 2, "alphas": {
         "kind": "constant", "value": 1.0}}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("decompose", "finite_chain", "simulate_chain"):
+        monkeypatch.setattr(cli, name, no_work)
     code = main(argv + ["--input", str(path)])
     out, err = capsys.readouterr()
     assert code == EXIT_CONFIG and out == ""
