@@ -269,10 +269,7 @@ def main(argv=None) -> int:
                **fields}
         _write(args, doc, csv_text)
         return EXIT_VERIFY if doc.get("ok") is False else EXIT_OK
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MultihessError as exc:

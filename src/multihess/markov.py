@@ -260,7 +260,7 @@ def to_stochastic_factors(gen: GeneratorSequence, N: int,
         mp = lambda arr: np.array([mpmath.mpf(t) for t in arr], dtype=object)
         u = mp(u_diag)                               # U: unit superdiagonal
         x = np.append(u[:-1] * v[:-1] + v[1:], u[-1] * v[-1]) / lam_mp
-        ups = (u * v / (lam_mp * x), v[1:] / (lam_mp * x[:-1]))
+        ups = (u * v / (x * lam_mp), v[1:] / (x[:-1] * lam_mp))
         pis = []
         for a in range(p, 0, -1):                    # x holds x_a
             sub = mp(lowers[a - 1])

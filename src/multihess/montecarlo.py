@@ -60,6 +60,7 @@ class SimulationReport:
 
 
 _BITS = 8     # a table entry covers the draws k of one top-8-bit bucket
+_CHUNK = 1 << 16    # trials stepped together; the counts do not depend on it
 
 
 def _count(window, rows, k):
@@ -100,7 +101,7 @@ def _table_step(table, window, where: np.ndarray, k: np.ndarray):
 
 
 def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
-                   seed: int, chunk: int = 1 << 16) -> SimulationReport:
+                   seed: int) -> SimulationReport:
     """Simulate `trials` independent paths of the chain P from `start`.
 
     Each step draws a uniform per trial and inverts the row CDF.  The
@@ -120,8 +121,8 @@ def simulate_chain(P: np.ndarray, start: int, steps: int, trials: int,
         raise InvalidInputError("matrix is not stochastic to tolerance")
     table, window = _next_state_table(P)
     counts = np.zeros(n, dtype=np.int64)
-    for base in range(0, trials, chunk):
-        m = min(chunk, trials - base)
+    for base in range(0, trials, _CHUNK):
+        m = min(_CHUNK, trials - base)
         rng = XorShift64Star(seed, m, stream_offset=base)
         where = np.full(m, start, dtype=np.intp)
         for _ in range(steps):

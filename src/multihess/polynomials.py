@@ -20,16 +20,20 @@ from .generator import GeneratorSequence
 from .pbf import InitialConditionData, band_diagonals
 
 
-def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False):
+def _diagonals(gen: GeneratorSequence, order: int, use_mp: bool = False,
+               shift: int = 0):
     """The entries of T^[order] the recurrences read: band[j][i] =
-    T[i+j, i] for j = 0..p, as Python floats, or as mpf rounded once at
-    the working precision from the exact band (the superdiagonal is 1 and
-    every other entry 0)."""
+    T[i+j, i] / 2^(shift (j+1)) for j = 0..p, as Python floats, or as mpf
+    rounded once at the working precision from the exact band (the
+    superdiagonal is 1 and every other entry 0).  With shift k this is
+    the band of T^[order] for the alphas / 2^k, exactly, and that matrix
+    is similar to T^[order] / 2^k by D = diag(2^(k i))."""
     if not use_mp:
-        return [d.tolist() for d in band_diagonals(gen, order)]
+        return [(np.ldexp(d, -shift * (j + 1)) if shift else d).tolist()
+                for j, d in enumerate(band_diagonals(gen, order))]
     import mpmath
     band, e = band_diagonals(gen, order, exact=True)
-    return [[mpmath.mpf((v, e * (j + 1))) for v in d]
+    return [[mpmath.mpf((v, (e - shift) * (j + 1))) for v in d]
             for j, d in enumerate(band)]
 
 

@@ -39,15 +39,18 @@ class XorShift64Star:
         # input to zero, remap it to the gamma constant.
         state[state == 0] = _SPLITMIX_GAMMA
         self._state = state
+        self._scratch = np.empty_like(state)
 
     def next_u64(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            x = self._state
-            x = x ^ (x >> _U64(12))
-            x = x ^ (x << _U64(25))
-            x = x ^ (x >> _U64(27))
-            self._state = x
-            return x * _XORSHIFT_MULT
+        """The next output of every stream; the states step in place."""
+        x, t = self._state, self._scratch
+        np.right_shift(x, _U64(12), out=t)
+        x ^= t
+        np.left_shift(x, _U64(25), out=t)
+        x ^= t
+        np.right_shift(x, _U64(27), out=t)
+        x ^= t
+        return x * _XORSHIFT_MULT
 
     def next_float(self) -> np.ndarray:
         """Uniform doubles in [0, 1), exactly (next_u64() >> 11) * 2**-53;

@@ -41,10 +41,10 @@ def to_json(obj) -> str:
         raise InvalidInputError(str(exc)) from exc
 
 
-def matrix_to_csv(M: np.ndarray, header: str = "i,j,value") -> str:
+def matrix_to_csv(M: np.ndarray) -> str:
     """Dense matrix in sparse triplet form, row-major order."""
     M = np.asarray(M, dtype=float)
-    lines = [header]
+    lines = ["i,j,value"]
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
             lines.append("%d,%d,%s" % (i, j, format_float(M[i, j])))

@@ -7,7 +7,9 @@ A few Newton steps on the band recurrence polish the start, and a
 certificate accepts it: positive, strictly increasing roots that sum to
 the trace, with one sign change of the characteristic polynomial per
 cell of the sorted roots.  Otherwise a high-precision polynomial solver
-takes over.
+takes over.  Both routes, and the certificate of either, run on the
+same band scaled by the same power of two, so no spectrum depends on the
+alphas' scale.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ def _bound(band) -> float:
     for j, d in enumerate(band):
         rows[j:] += d
     return float(rows.max()) + 1.0
-
-
-def _band(gen: GeneratorSequence, N: int, shift: int = 0) -> list:
-    """Band diagonals of T^[N] as Python floats, band[j][i] = T[i+j, i]
-    / 2^(shift (j+1)) for j = 0..p.  With shift k this is the band of
-    T^[N] for the alphas / 2^k, exactly, and that matrix is similar to
-    T^[N] / 2^k by D = diag(2^(k i))."""
-    return [np.ldexp(d, -shift * (j + 1)).tolist()
-            for j, d in enumerate(band_diagonals(gen, N))]
 
 
 def _certified(roots: np.ndarray, band) -> bool:
@@ -79,12 +72,12 @@ def _start_roots(gen: GeneratorSequence, N: int):
     """Ascending roots of B_{N+1} in double precision, or None when they
     fail _certified.
 
-    LAPACK runs on the transpose of the scaled band of _band, with the
-    shift that rounds log2 of the alphas' geometric mean, so the start
-    does not depend on the alphas' scale; Newton steps on the same band
-    finish it and the roots are scaled back exactly."""
+    LAPACK runs on the transpose of the band of _diagonals scaled by
+    _shift, so the start does not depend on the alphas' scale; Newton
+    steps on the same band finish it and the roots are scaled back
+    exactly."""
     shift = _shift(gen, N)
-    band = _band(gen, N, shift)
+    band = _diagonals(gen, N, shift=shift)
     Tt = np.diag(np.ones(N), -1)                # T^T[i, i+j] = T[i+j, i]
     for j, d in enumerate(band):
         Tt[np.arange(len(d)), np.arange(j, j + len(d))] = d
@@ -97,10 +90,11 @@ def _start_roots(gen: GeneratorSequence, N: int):
     return np.ldexp(x, shift) if _certified(x, band) else None
 
 
-def _mp_char_coeffs(gen: GeneratorSequence, N: int):
-    """Coefficients of B_{N+1} (highest degree first) in mpmath numbers,
-    each rounded once from the exact integer recurrence on the exact
-    band: on it, B_n(2^e y) / 2^(e n) has integer coefficients."""
+def _mp_char_coeffs(gen: GeneratorSequence, N: int, shift: int):
+    """Coefficients of B_{N+1} (highest degree first) for the alphas /
+    2^shift in mpmath numbers, each rounded once from the exact integer
+    recurrence on the exact band: on it, B_n(2^e y) / 2^(e n) has integer
+    coefficients, and the shift moves e to e - shift."""
     import mpmath
     d, e = band_diagonals(gen, N, exact=True)
     polys = [[1]]                      # ascending coefficient lists
@@ -113,7 +107,7 @@ def _mp_char_coeffs(gen: GeneratorSequence, N: int):
             for i, c in enumerate(polys[n - j]):
                 nxt[i] -= d[j][n - j] * c
         polys.append(nxt)
-    return [mpmath.mpf((c, e * (N + 1 - i)))
+    return [mpmath.mpf((c, (e - shift) * (N + 1 - i)))
             for i, c in reversed(list(enumerate(polys[N + 1])))]
 
 
@@ -121,10 +115,12 @@ def _mp_roots(gen: GeneratorSequence, N: int):
     """All roots of B_{N+1} by a high-precision polynomial solver,
     ascending, as mpmath numbers; raises IllConditionedSpectrumError when
     it does not converge or they are not positive and simple.  Slow; the
-    last resort when double precision cannot separate the spectrum."""
+    last resort when double precision cannot separate the spectrum.
+    Solved on the band scaled by _shift; the roots are scaled back exactly."""
     import mpmath
+    shift = _shift(gen, N)
     with mpmath.workdps(3 * _MP_DPS):
-        coeffs = _mp_char_coeffs(gen, N)
+        coeffs = _mp_char_coeffs(gen, N, shift)
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
         except mpmath.libmp.NoConvergence as exc:
@@ -135,7 +131,7 @@ def _mp_roots(gen: GeneratorSequence, N: int):
             if abs(mpmath.im(r)) > mpmath.mpf(10) ** (-_MP_DPS) * scale:
                 raise IllConditionedSpectrumError(
                     "high-precision solver returned a complex eigenvalue")
-        asc = sorted(mpmath.re(r) for r in roots)
+        asc = sorted(mpmath.ldexp(mpmath.re(r), shift) for r in roots)
     if asc[0] <= 0 or any(b <= a for a, b in zip(asc, asc[1:])):
         raise IllConditionedSpectrumError(
             "computed spectrum is not positive and simple")
@@ -169,30 +165,25 @@ def eigenvalues(gen: GeneratorSequence, N: int, use_mp: bool = False) -> np.ndar
 
     The oscillatory structure guarantees they are positive and simple;
     violation of that in the computed output raises
-    IllConditionedSpectrumError.
+    IllConditionedSpectrumError.  The polynomial solver takes over from
+    the start when it fails its certificate, or, extended, when it holds
+    roots within 1e-12 relative, which the Newton polish cannot split.
     """
     if N < 0:
         raise InvalidInputError("truncation order must be >= 0")
     roots = _start_roots(gen, N)
-    if roots is None:
+    if roots is None or use_mp and (np.diff(roots) / roots[-1]).min(
+            initial=np.inf) < 1e-12:
         asc = _mp_roots(gen, N)
         if not use_mp:
-            roots = np.array([float(v) for v in asc])
-            if not _certified(roots, _diagonals(gen, N)):
+            k = _shift(gen, N)
+            asc = np.array([float(v) for v in asc])
+            if not _certified(np.ldexp(asc, -k), _diagonals(gen, N, shift=k)):
                 raise IllConditionedSpectrumError(
                     "spectrum is positive and simple but not separable "
                     "in double precision; use extended precision")
-            asc = roots
-        return asc[::-1].copy()
-    if use_mp:
-        # Newton polish cannot split roots that double precision sees as
-        # (nearly) equal; clusters below ~1e-12 relative go through the
-        # high-precision solver instead.
-        gaps = np.diff(roots) / max(roots.max(), 1e-300)
-        if gaps.min(initial=np.inf) < 1e-12:
-            asc = _mp_roots(gen, N)
-        else:
-            asc = _mp_polish(gen, N, roots)
+    elif use_mp:
+        asc = _mp_polish(gen, N, roots)
     else:
         asc = roots
     return asc[::-1].copy()
@@ -218,32 +209,28 @@ def interlacing_check(gen: GeneratorSequence, N: int) -> dict:
     ordered; sub_ulp_ties counts those pairs.
     """
     import mpmath
-    prev, cur = eigenvalue_pair(gen, N)
+    prev, cur = eigenvalue_pair(gen, N)     # certified: positive, simple
     pa, ca = prev[::-1], cur[::-1]          # ascending
-    ordered = (cur.min() > 0.0 and np.all(np.diff(cur) < 0.0)
-               and np.all(np.diff(prev) < 0.0))
     ties = 0
-    strict = ordered
-
-    if ordered:
-        with mpmath.workdps(40):
-            for lo, hi, mlo, mhi in (
-                    (ca[:-1], pa, N, N - 1),   # cur root below prev root
-                    (pa, ca[1:], N - 1, N)):   # prev root below next cur
-                for a, b in zip(lo, hi):
-                    ulps = (b - a) / np.spacing(max(a, b))
-                    if ulps > 2.0:
-                        continue
-                    if ulps < -2.0:
-                        strict = False
-                        break
-                    ties += 1
-                    if not (_mp_polish(gen, mlo, [a], 40)[0]
-                            < _mp_polish(gen, mhi, [b], 40)[0]):
-                        strict = False
-                        break
+    strict = True
+    with mpmath.workdps(40):
+        for lo, hi, mlo, mhi in (
+                (ca[:-1], pa, N, N - 1),       # cur root below prev root
+                (pa, ca[1:], N - 1, N)):       # prev root below next cur
+            for a, b in zip(lo, hi):
+                ulps = (b - a) / np.spacing(max(a, b))
+                if ulps > 2.0:
+                    continue
+                if ulps < -2.0:
+                    strict = False
+                    break
+                ties += 1
+                if not (_mp_polish(gen, mlo, [a], 40)[0]
+                        < _mp_polish(gen, mhi, [b], 40)[0]):
+                    strict = False
+                    break
     return {"N": N, "strict": strict, "sub_ulp_ties": ties,
-            "min_gap": float(np.abs(np.diff(cur)).min()) if N >= 1 else 0.0}
+            "min_gap": float(np.abs(np.diff(cur)).min())}
 
 
 def _int_rows(M: np.ndarray):
@@ -318,11 +305,11 @@ def _monic_values(gen: GeneratorSequence, N: int, lam):
     than 25 would remain, up to three times.  A lam at which B_{N+1}
     vanishes to 30 digits (the top eigenvalue, polished) is polished to
     the new digits; any other lam is a fixed point and kept.  The bound
-    runs on the band of _band, so it overflows only where T's alphas
-    spread beyond double range; then b keeps 60 digits."""
+    runs on the band of _diagonals scaled by _shift, so it overflows only
+    where T's alphas spread beyond double range; then b keeps 60 digits."""
     import mpmath
     k = _shift(gen, N)
-    Bh = _abs_levels(_band(gen, N, k), np.ldexp(float(lam), -k))
+    Bh = _abs_levels(_diagonals(gen, N, shift=k), np.ldexp(float(lam), -k))
     dps, root = 60, None
     for raised in range(4):
         with mpmath.workdps(dps):
@@ -348,8 +335,8 @@ def _perron_stationary(gen: GeneratorSequence, N: int, lam: float, b):
     where eps Bh_n (_abs_levels) reaches |b_n|; when more than 1e-8 of pi
     sits there, b is taken again by _monic_values at lam polished to 60
     digits, as the chains' similarity weights are."""
-    band = band_diagonals(gen, N)
-    Bh = _abs_levels([d.tolist() for d in band], lam)[:N + 1]
+    band = _diagonals(gen, N)
+    Bh = _abs_levels(band, lam)[:N + 1]
 
     def reduce(b):
         return _gth_stationary(b[1:] / b[:-1], [
@@ -517,7 +504,7 @@ def moments_matvec(gen: GeneratorSequence, N: int, order: int,
     """
     if init is None:
         init = initial_conditions(gen)
-    band = _band(gen, N)
+    band = _diagonals(gen, N)
     return np.column_stack([_chain(band, init.embedded_vector(a, N + 1),
                                    order) for a in range(1, gen.p + 1)])
 
@@ -543,10 +530,10 @@ def _moment_errors(dec: SpectralDecomposition, a: int, order: int, M: int,
     the moments m_n = e_0^T T^n v_a of _chain on T^[M].  In double both
     sides are those of T / 2^s, s = _shift(gen, M): float copies of the
     tables give mu . (lams / 2^s)^n and _chain gives e_0^T S^n D^-1 v_a
-    for S of _band(gen, M, s) and D = diag(2^(s i)), exactly, so no large
-    T overflows and s = 0 keeps every bit.  With use_mp the extended
-    tables are compared unscaled, in mpf at their own precision, with
-    v_a from _mp_nu_inv_T."""
+    for S of _diagonals(gen, M, shift=s) and D = diag(2^(s i)), exactly,
+    so no large T overflows and s = 0 keeps every bit.  With use_mp the
+    extended tables are compared unscaled, in mpf at their own precision,
+    with v_a from _mp_nu_inv_T."""
     gen, v = dec.gen, dec.init.embedded_vector(a, M + 1)
     if use_mp:
         import mpmath
@@ -558,7 +545,8 @@ def _moment_errors(dec: SpectralDecomposition, a: int, order: int, M: int,
             return [abs(np.sum(dec.mu[:, a - 1] * dec.lams ** n) - m)
                     / max(mpmath.mpf(1), abs(m)) for n, m in enumerate(refs)]
     s = _shift(gen, M)
-    refs = _chain(_band(gen, M, s), np.ldexp(v, -s * np.arange(M + 1)), order)
+    refs = _chain(_diagonals(gen, M, shift=s),
+                  np.ldexp(v, -s * np.arange(M + 1)), order)
     lams = np.ldexp(dec.lams.astype(float), -s)
     mu = dec.mu[:, a - 1].astype(float)
     return [abs(float(np.dot(mu, lams ** n)) - m) / max(1.0, abs(m))

@@ -16,6 +16,7 @@ from multihess import (GeneratorSequence, cd_first, cd_second, decompose,
                        moments_matvec, precision_degree, sharpness_scan,
                        simulate_chain, stationary_distribution,
                        stationary_power_iteration, to_stochastic_factors)
+import multihess.montecarlo as montecarlo
 from multihess.rng import uniform_stream
 
 
@@ -257,12 +258,13 @@ def test_criterion_09_factor_bridge():
 # --------------------------------------------------------------------------
 # 10. Monte Carlo cross-validation, fixed seed, byte-identical
 
-def test_criterion_10_monte_carlo():
+def test_criterion_10_monte_carlo(monkeypatch):
     t0 = time.time()
     g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=101)
     ch = finite_chain(g, 10)
     r1 = simulate_chain(ch.P, 5, 15, 10 ** 6, seed=424242)
-    r2 = simulate_chain(ch.P, 5, 15, 10 ** 6, seed=424242, chunk=1 << 13)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 13)
+    r2 = simulate_chain(ch.P, 5, 15, 10 ** 6, seed=424242)
     elapsed = time.time() - t0
     identical = np.array_equal(r1.counts, r2.counts)
     z = r1.max_abs_z()

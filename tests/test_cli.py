@@ -174,6 +174,27 @@ def test_extended_weights_keep_their_total_mass(tmp_path, capsys,
     assert doc["total_masses"] == pytest.approx([1.0], rel=1e-14)
 
 
+# alphas near 2^130 on which the unscaled polynomial solver did not
+# converge (exit 3): a p = 2 spectrum whose start fails its certificate,
+# and a p = 1 pair like _PAIR_P1's
+@pytest.mark.parametrize("desc", [
+    {"p": 2, "alphas": {"kind": "periodic",
+                        "values": [2.0 ** 130, 2.0 ** 110]}},
+    {"p": 1, "alphas": {"kind": "periodic", "values": [
+        2.0 ** 130, 2.0 ** 130, 2.0 ** 90, 2.0 ** 130]}},
+], ids=["p2", "p1"])
+def test_extended_spectrum_solves_alphas_near_2_to_130(desc, tmp_path,
+                                                        capsys, monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(desc))
+    monkeypatch.setenv("MULTIHESS_PRECISION", "extended")
+    code, doc = _run(["spectrum", "--input", str(path), "--order", "10"],
+                     capsys)
+    assert code == EXIT_OK
+    assert np.min(doc["weights"]) > 0.0
+    assert doc["total_masses"][0] == pytest.approx(1.0, rel=1e-14)
+
+
 def test_spectrum_not_separable_in_double_exits_3(tmp_path, capsys,
                                                   monkeypatch):
     path = tmp_path / "gen.json"

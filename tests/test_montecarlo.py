@@ -6,6 +6,7 @@ import pytest
 
 from multihess import (GeneratorSequence, InvalidInputError, finite_chain,
                        simulate_chain)
+import multihess.montecarlo as montecarlo
 from multihess.montecarlo import _next_state_table, _table_step
 from multihess.rng import XorShift64Star, splitmix64, uniform_stream
 
@@ -47,10 +48,12 @@ def test_simulation_byte_identical_rerun():
     assert r1.counts.sum() == 5000
 
 
-def test_simulation_chunk_invariance():
+def test_simulation_chunk_invariance(monkeypatch):
     P = _small_chain()
-    r1 = simulate_chain(P, 2, 10, 5000, seed=99, chunk=64)
-    r2 = simulate_chain(P, 2, 10, 5000, seed=99, chunk=1 << 12)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    r1 = simulate_chain(P, 2, 10, 5000, seed=99)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+    r2 = simulate_chain(P, 2, 10, 5000, seed=99)
     assert np.array_equal(r1.counts, r2.counts)
 
 
@@ -161,7 +164,7 @@ def _window_cases():
 
 @pytest.mark.parametrize("name,P", list(_window_cases()),
                          ids=[c[0] for c in _window_cases()])
-def test_windowed_step_equals_dense_step(name, P):
+def test_windowed_step_equals_dense_step(name, P, monkeypatch):
     # the table step from every state at every draw of _draws equals the
     # dense step at u = k * 2**-53
     n = P.shape[0]
@@ -172,8 +175,9 @@ def test_windowed_step_equals_dense_step(name, P):
         got = _table_step(table, window, where, k)
         assert np.array_equal(got, _dense_step(P, where, np.ldexp(k, -53)))
     # and whole simulations, across a chunk boundary
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1024)
     for start in sorted({0, n // 2, n - 1}):
-        rep = simulate_chain(P, start, 5, 3000, seed=start, chunk=1024)
+        rep = simulate_chain(P, start, 5, 3000, seed=start)
         assert np.array_equal(rep.counts,
                               _dense_counts(P, start, 5, 3000, start, 1024))
 

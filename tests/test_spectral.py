@@ -10,9 +10,9 @@ from multihess import (GeneratorSequence, IllConditionedSpectrumError,
                        weyl_partial_fractions, weyl_rational,
                        weyl_resolvent)
 import multihess.spectral as spectral
-from multihess.polynomials import _levels, eval_type_ii
+from multihess.polynomials import _diagonals, _levels, eval_type_ii
 from multihess.pbf import band_diagonals
-from multihess.spectral import (_MP_DPS, _band, _bound, _certified, _char,
+from multihess.spectral import (_MP_DPS, _bound, _certified, _char,
                                 _mp_polish, _mp_roots)
 
 
@@ -141,7 +141,7 @@ def test_band_kernel_matches_eval_type_ii_bitwise(p):
     # reproduce the lower-order evaluator bit for bit at every level.
     g = GeneratorSequence.uniform(p, 0.5, 2.0, seed=40 + p)
     N = 25
-    band = _band(g, N)
+    band = _diagonals(g, N)
     ub = _bound(band)
     x = np.concatenate((np.linspace(0.0, ub, 41), eigenvalues(g, N)))
     for m in (1, 2, p + 1, 13, N + 1):
@@ -372,7 +372,7 @@ def test_extended_eigenvalues_match_exact_factor_product(p, seed, N):
 
 def test_certificate_rejects_nan_collapsed_and_misplaced_roots():
     g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=5)
-    band = _band(g, 10)
+    band = _diagonals(g, 10)
     roots = eigenvalues(g, 10)[::-1].copy()
     assert _certified(roots, band)
     bad = []
@@ -390,7 +390,7 @@ def test_certificate_counts_roots():
     # positive and on the trace, but B_{N+1} keeps its sign over the
     # first cell
     g = GeneratorSequence.uniform(2, 0.5, 2.0, seed=5)
-    band = _band(g, 10)
+    band = _diagonals(g, 10)
     roots = eigenvalues(g, 10)[::-1].copy()
     gap = roots[2] - roots[1]
     bad = roots.copy()
@@ -476,7 +476,7 @@ def test_uncertified_start_falls_back_to_the_polynomial_solver(monkeypatch):
     calls = _spy_mp_roots(monkeypatch)
     lams = eigenvalues(g, 10)
     assert calls == [10]
-    assert _certified(lams[::-1], _band(g, 10))
+    assert _certified(lams[::-1], _diagonals(g, 10))
     ext = eigenvalues(g, 10, use_mp=True).astype(float)
     assert np.allclose(lams, ext, rtol=1e-14, atol=0.0)
 
@@ -509,6 +509,32 @@ def test_extended_spectrum_takes_the_cluster_detour(monkeypatch):
         assert abs(gap) < mpmath.mpf(10) ** -30
         assert abs(mpmath.fsum(mpmath.log(x) for x in lams)
                    - mpmath.log(mpmath.mpf(10) ** -60)) < 1e-15
+
+
+@pytest.mark.parametrize("p,values,use_mp", [
+    (2, [1.0, 2.0 ** -20], False),        # the start fails its certificate
+    (1, [1.0, 1.0, 1e-12, 1.0], True),    # the start holds a cluster
+], ids=["double_fallback", "extended_cluster"])
+def test_polynomial_solver_route_is_scale_free(p, values, use_mp,
+                                               monkeypatch):
+    # with the alphas times 2^130 the polynomial solver solves the same
+    # scaled band, and the spectrum is the twin's times 2^130 exactly
+    import mpmath
+    twin = GeneratorSequence.periodic(p, values)
+    big = GeneratorSequence.periodic(p, [np.ldexp(v, 130) for v in values])
+    start = spectral._start_roots(twin, 10)
+    if use_mp:
+        assert np.diff(start).min() < 1e-12 * start.max()
+    else:
+        assert start is None
+    calls = _spy_mp_roots(monkeypatch)
+    lams = eigenvalues(big, 10, use_mp=use_mp)
+    ref = eigenvalues(twin, 10, use_mp=use_mp)
+    assert calls == [10, 10]
+    if use_mp:
+        assert list(lams) == [mpmath.ldexp(v, 130) for v in ref]
+    else:
+        assert lams.tobytes() == np.ldexp(ref, 130).tobytes()
 
 
 # benchmark shapes; at p = 1, order 40, seed 12 the double B_n(lam_1)
